@@ -33,7 +33,7 @@
 //! `best_within`'s tie-breaking, and reusing maps across solves would make
 //! equally-optimal tie winners depend on what was solved before. Fresh maps
 //! with the same capacity hints keep every run bit-identical to the pre-flat
-//! implementation ([`crate::reference::full_solve`] pins this).
+//! implementation (the test suite's `reference::full_solve` pins this).
 
 use crate::state::{StateCodec, StateKey};
 use replica_model::{le_tolerant, Instance, ModeIdx, ModelError, Placement};

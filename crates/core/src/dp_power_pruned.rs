@@ -20,19 +20,33 @@
 //! returned optima are bit-equal to [`dp_power`](crate::dp_power) — the
 //! test suite and the oracle enforce this.
 //!
-//! Reconstruction exploits determinism: re-running a node's merge sequence
-//! reproduces its tables bit-for-bit (same code path, same order), so the
-//! backtrack can match partial costs/powers with exact `f64` equality.
+//! Reconstruction reads what the forward pass kept: each position's fold
+//! prefixes (the accumulated table before each child merge), so the
+//! backtrack matches partial costs/powers with exact `f64` equality against
+//! the very tables the fold built, and re-merges nothing.
 //!
-//! ## Hot path
+//! ## One driver
 //!
 //! The forward pass iterates the [`FlatTree`] post-order layout (one dense
-//! scan, children as position windows) and all working memory — the layout,
-//! the per-position tables, the merge/prune double buffers, the flattened
-//! weight arrays — lives in a [`PrunedScratch`] that [`PrunedPowerDp::run_in`]
-//! borrows and [`PrunedPowerDp::recycle`] returns, so fleet batches solve
-//! with zero steady-state allocation. Results are bit-identical to the
-//! pre-flat pointer traversal ([`crate::reference::pruned_solve`] pins this).
+//! scan, children as position windows). All of its state — the layout, the
+//! flattened weight arrays, the per-position tables and fold prefixes, the
+//! merge/prune buffers, the root candidates — lives in one [`PrunedScratch`],
+//! and two callers drive it through the same fold step and the same
+//! backtrack:
+//!
+//! * [`PrunedPowerDp::run_in`] (the batch solve) folds every position from
+//!   its base and backtracks into an empty placement, never skipping;
+//! * [`IncrementalDp`](crate::incremental::IncrementalDp) refolds only its
+//!   dirty sweep, each position from its first changed child, and
+//!   backtracks into the previous placement, skipping subtrees whose
+//!   decisions cannot have changed.
+//!
+//! A batch solve is an incremental solve with every position dirty. The
+//! scratch is borrowed by [`PrunedPowerDp::run_in`] and returned by
+//! [`PrunedPowerDp::recycle`], so fleet batches solve with zero
+//! steady-state allocation. Results are bit-identical to the pre-flat
+//! pointer traversal (the test suite's `reference::pruned_solve` pins
+//! this).
 
 use replica_model::{le_tolerant, Instance, ModeIdx, ModelError, Placement};
 use replica_tree::FlatTree;
@@ -62,26 +76,34 @@ pub struct PrunedCandidate {
     pub power: f64,
 }
 
-/// Reusable working memory for [`PrunedPowerDp::run_in`].
+/// The forward-pass state of the pruned DP, reusable across solves.
 ///
-/// Holds every allocation the forward pass needs: the flat layout, the
-/// per-position Pareto tables, the merge/prune double buffers, and the
-/// flattened per-(position, mode) weight arrays. After one solve has grown
-/// the buffers, subsequent solves of same-sized trees allocate nothing.
+/// Holds the flat layout, the flattened per-(position, mode) weights, the
+/// per-position Pareto tables and fold prefixes, the merge/prune buffers,
+/// and the root candidates. After one solve has grown the buffers,
+/// subsequent solves of same-sized trees allocate nothing.
 #[derive(Default)]
 pub struct PrunedScratch {
-    flat: FlatTree,
+    pub(crate) flat: FlatTree,
+    /// `wcost[p * m + mode]`: additive cost of a server at position `p`.
+    wcost: Vec<f64>,
+    /// `wpower[mode]`: additive power of a server at `mode`.
+    wpower: Vec<f64>,
+    /// The global Eq. 4 deletion constant `Σᵢ deleteᵢ·Eᵢ`.
+    delete_constant: f64,
+    /// `tables[p]`: the Pareto table of position `p`.
     tables: Vec<Vec<Triple>>,
-    cur: Vec<Triple>,
+    /// `prefixes[p][k - 1]`: the fold accumulator of position `p` before
+    /// merging its child `k ≥ 1`. The accumulator before child 0 is the
+    /// base, one triple rebuilt from `client_load(p)` when needed, so
+    /// leaves and single-child positions keep no prefix at all.
+    prefixes: Vec<Vec<Vec<Triple>>>,
     next: Vec<Triple>,
     kept: Vec<Triple>,
     served: Vec<Served>,
     served_kept: Vec<Served>,
     merge: MergeScratch,
-    /// `wcost[p * m + mode]`: additive cost of a server at position `p`.
-    wcost: Vec<f64>,
-    /// `wpower[mode]`: additive power of a server at `mode`.
-    wpower: Vec<f64>,
+    pub(crate) candidates: Vec<PrunedCandidate>,
 }
 
 /// A child outcome paired with one feasible server mode's weights — the
@@ -94,7 +116,7 @@ pub struct PrunedScratch {
 /// the dominator's output beats the dominated one for *every* left entry
 /// under IEEE-754 addition monotonicity.
 #[derive(Clone, Copy)]
-pub(crate) struct Served {
+struct Served {
     cost: f64,
     power: f64,
     wcost: f64,
@@ -105,40 +127,6 @@ pub(crate) struct Served {
 pub struct PrunedPowerDp<'a> {
     instance: &'a Instance,
     scratch: PrunedScratch,
-    candidates: Vec<PrunedCandidate>,
-    delete_constant: f64,
-}
-
-/// Fills the flattened per-server additive weights (position-indexed).
-pub(crate) fn fill_weights(
-    instance: &Instance,
-    flat: &FlatTree,
-    wcost: &mut Vec<f64>,
-    wpower: &mut Vec<f64>,
-) {
-    let modes = instance.modes();
-    let cost_model = instance.cost();
-    let pre = instance.pre_existing();
-    let m = modes.count();
-    wpower.clear();
-    wpower.extend(
-        modes
-            .indices()
-            .map(|mode| instance.power().server_power(modes, mode)),
-    );
-    wcost.clear();
-    wcost.reserve(flat.len() * m);
-    for p in flat.positions() {
-        let node = flat.node_at(p);
-        for mode in modes.indices() {
-            wcost.push(match pre.mode_of(node) {
-                // Reusing cancels the deletion this server would have paid
-                // inside the global constant.
-                Some(o) => cost_model.reused_server(o, mode) - cost_model.deleted_server(o),
-                None => cost_model.new_server(mode),
-            });
-        }
-    }
 }
 
 /// Flow ceiling up to which [`prune_into`] uses the O(1) bucketed
@@ -229,7 +217,7 @@ const COMPACT_FLOOR: usize = 8 * 1024;
 /// push-side dominance prefilter. One instance serves a whole forward
 /// pass; after the first merge has grown the buffers nothing allocates.
 #[derive(Default)]
-pub(crate) struct MergeScratch {
+struct MergeScratch {
     /// The child table counting-sorted by flow, so the capacity-feasible
     /// partners of a left entry form a contiguous prefix.
     by_flow: Vec<Triple>,
@@ -304,7 +292,7 @@ fn rebuild_stairs(front: &[Triple], wmax: usize, stairs: &mut Vec<Vec<(f64, f64)
 ///   instead of being pushed, sorted, and discarded — near the root
 ///   well over 99% of candidates die here.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_into(
+fn merge_into(
     instance: &Instance,
     wcost: &[f64],
     wpower: &[f64],
@@ -338,7 +326,7 @@ pub(crate) fn merge_into(
 
     // Pair enumeration order is free: [`prune_into`]'s total sort makes
     // the pruned table a pure function of the candidate *set* (see the
-    // invariant note on [`compute_position`]), and each candidate's
+    // liberties listed above), and each candidate's
     // sums are per-pair, so bucketing the child table by flow changes
     // neither values nor the final front. What it buys: for an
     // accumulator entry with flow `fl`, only child entries with flow
@@ -437,390 +425,276 @@ pub(crate) fn merge_into(
     prune_into(out, kept, wmax);
 }
 
-/// Allocating merge (shared by reconstruction, which rebuilds small
-/// intermediate tables on demand).
-pub(crate) fn merge(
-    instance: &Instance,
-    wcost: &[f64],
-    wpower: &[f64],
-    child_pos: usize,
-    left: &[Triple],
-    child: &[Triple],
-) -> Vec<Triple> {
-    let mut out = Vec::new();
-    let mut kept = Vec::new();
-    let mut served = Vec::new();
-    let mut served_kept = Vec::new();
-    let mut mscratch = MergeScratch::default();
-    merge_into(
-        instance,
-        wcost,
-        wpower,
-        child_pos,
-        left,
-        child,
-        &mut out,
-        &mut kept,
-        &mut served,
-        &mut served_kept,
-        &mut mscratch,
-    );
-    out
+/// The fold base of position `p`: its direct client load, no server yet.
+fn fold_base(flat: &FlatTree, p: usize) -> [Triple; 1] {
+    [Triple {
+        flow: flat.client_load(p),
+        cost: 0.0,
+        power: 0.0,
+    }]
 }
 
-/// The global Eq. 4 deletion constant `Σᵢ deleteᵢ·Eᵢ`.
-pub(crate) fn deletion_constant(instance: &Instance) -> f64 {
-    instance
-        .pre_existing()
-        .iter()
-        .map(|(_, orig)| instance.cost().deleted_server(orig))
-        .sum()
-}
-
-/// Computes the Pareto table of position `p` from its children's tables
-/// (which must already be current) and swaps it into `tables[p]`.
-///
-/// This is THE forward-pass step: [`PrunedPowerDp::run_in`] calls it for
-/// every position bottom-up, and the incremental solver
-/// ([`crate::incremental::IncrementalDp`]) calls it for exactly the dirty
-/// closure — sharing this function is what makes the incremental recompute
-/// bit-identical to a from-scratch solve by construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_position(
-    instance: &Instance,
-    flat: &FlatTree,
-    wcost: &[f64],
-    wpower: &[f64],
-    p: usize,
-    tables: &mut [Vec<Triple>],
-    cur: &mut Vec<Triple>,
-    next: &mut Vec<Triple>,
-    kept: &mut Vec<Triple>,
-    served: &mut Vec<Served>,
-    served_kept: &mut Vec<Served>,
-    mscratch: &mut MergeScratch,
-) {
-    let wmax = instance.max_capacity();
-    let direct = flat.client_load(p);
-    cur.clear();
-    if direct <= wmax {
-        cur.push(Triple {
-            flow: direct,
-            cost: 0.0,
-            power: 0.0,
-        });
-    }
-    for &child in flat.children(p) {
-        if cur.is_empty() {
-            break;
-        }
-        merge_into(
-            instance,
-            wcost,
-            wpower,
-            child as usize,
-            cur,
-            &tables[child as usize],
-            next,
-            kept,
-            served,
-            served_kept,
-            mscratch,
+impl PrunedScratch {
+    /// The batch forward pass: lays `instance` out, fills the weights,
+    /// folds every position from its base and scans the root.
+    pub(crate) fn forward(&mut self, instance: &Instance) {
+        let modes = instance.modes();
+        let cost_model = instance.cost();
+        let pre = instance.pre_existing();
+        self.flat.rebuild(instance.tree());
+        self.wpower.clear();
+        self.wpower.extend(
+            modes
+                .indices()
+                .map(|mode| instance.power().server_power(modes, mode)),
         );
-        std::mem::swap(cur, next);
-    }
-    std::mem::swap(&mut tables[p], cur);
-}
-
-/// [`compute_position`] with the fold's intermediate prefix tables cached
-/// in `inters_p` — the incremental solver's forward step.
-///
-/// `inters_p[k]` holds the accumulated table *before* merging child `k`
-/// (`inters_p[0]` is the direct-load base; leaves use it as the whole
-/// table). The final merge lands in `tables[p]` as usual. `start` is the
-/// fold index of the first child whose table changed since the last call
-/// here: the cached prefixes `0..=start` are reused verbatim and only the
-/// fold's suffix re-merges. Because the suffix runs the *same*
-/// [`merge_into`] calls on bit-identical inputs that a full
-/// [`compute_position`] would reach, the resulting table is bit-identical
-/// by construction — and the cached `inters_p` doubles as the
-/// reconstruction's intermediate tables, so the backtrack needs no
-/// re-merge at all.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_position_cached(
-    instance: &Instance,
-    flat: &FlatTree,
-    wcost: &[f64],
-    wpower: &[f64],
-    p: usize,
-    start: usize,
-    tables: &mut [Vec<Triple>],
-    inters_p: &mut Vec<Vec<Triple>>,
-    next: &mut Vec<Triple>,
-    kept: &mut Vec<Triple>,
-    served: &mut Vec<Served>,
-    served_kept: &mut Vec<Served>,
-    mscratch: &mut MergeScratch,
-) {
-    let children = flat.children(p);
-    let len = children.len();
-    let slots = len.max(1);
-    if inters_p.len() < slots {
-        inters_p.resize_with(slots, Vec::new);
-    }
-    if start == 0 {
-        let wmax = instance.max_capacity();
-        let direct = flat.client_load(p);
-        inters_p[0].clear();
-        if direct <= wmax {
-            inters_p[0].push(Triple {
-                flow: direct,
-                cost: 0.0,
-                power: 0.0,
-            });
-        }
-    }
-    if len == 0 {
-        tables[p].clear();
-        tables[p].extend_from_slice(&inters_p[0]);
-        return;
-    }
-    for k in start..len {
-        if inters_p[k].is_empty() {
-            // An empty accumulator stays empty through every further
-            // merge — mirror `compute_position`'s early break, and clear
-            // the stale suffix so future suffix-only calls see it.
-            for later in inters_p[k + 1..len].iter_mut() {
-                later.clear();
-            }
-            tables[p].clear();
-            return;
-        }
-        merge_into(
-            instance,
-            wcost,
-            wpower,
-            children[k] as usize,
-            &inters_p[k],
-            &tables[children[k] as usize],
-            next,
-            kept,
-            served,
-            served_kept,
-            mscratch,
-        );
-        if k + 1 < len {
-            std::mem::swap(&mut inters_p[k + 1], next);
-        } else {
-            std::mem::swap(&mut tables[p], next);
-        }
-    }
-}
-
-/// Scans the root table into the feasible candidate set (the no-replica
-/// option for flow 0, plus every feasible root mode per entry).
-pub(crate) fn scan_root(
-    instance: &Instance,
-    flat: &FlatTree,
-    root_table: &[Triple],
-    wcost: &[f64],
-    wpower: &[f64],
-    delete_constant: f64,
-    out: &mut Vec<PrunedCandidate>,
-) {
-    let modes = instance.modes();
-    let m = modes.count();
-    let root = flat.root_position();
-    out.clear();
-    for &t in root_table {
-        if t.flow == 0 {
-            out.push(PrunedCandidate {
-                triple: t,
-                root_mode: None,
-                cost: t.cost + delete_constant,
-                power: t.power,
-            });
-        }
-        if let Some(first) = modes.mode_for_load(t.flow) {
-            for mode in first..m {
-                out.push(PrunedCandidate {
-                    triple: t,
-                    root_mode: Some(mode),
-                    cost: t.cost + wcost[root * m + mode] + delete_constant,
-                    power: t.power + wpower[mode],
+        self.wcost.clear();
+        self.wcost.reserve(self.flat.len() * modes.count());
+        for p in self.flat.positions() {
+            let node = self.flat.node_at(p);
+            for mode in modes.indices() {
+                self.wcost.push(match pre.mode_of(node) {
+                    // Reusing cancels the deletion this server would have
+                    // paid inside the global constant.
+                    Some(o) => cost_model.reused_server(o, mode) - cost_model.deleted_server(o),
+                    None => cost_model.new_server(mode),
                 });
             }
         }
-    }
-}
-
-/// Minimum-power candidate with cost within `cost_bound` (ties broken by
-/// cost — deterministic because `total_cmp` is a total order).
-pub(crate) fn best_candidate_within(
-    candidates: &[PrunedCandidate],
-    cost_bound: f64,
-) -> Option<&PrunedCandidate> {
-    candidates
-        .iter()
-        .filter(|c| le_tolerant(c.cost, cost_bound))
-        .min_by(|a, b| a.power.total_cmp(&b.power).then(a.cost.total_cmp(&b.cost)))
-}
-
-/// Backtracks `candidate` into a placement against the given forward-pass
-/// state (bit-exact re-merge matching, see module docs). Shared by
-/// [`PrunedPowerDp::reconstruct`] and the incremental solver.
-pub(crate) fn reconstruct_in(
-    instance: &Instance,
-    flat: &FlatTree,
-    tables: &[Vec<Triple>],
-    wcost: &[f64],
-    wpower: &[f64],
-    candidate: &PrunedCandidate,
-) -> Result<Placement, ModelError> {
-    let mut placement = Placement::with_slots(flat.len());
-    reconstruct_seeded(
-        instance,
-        flat,
-        tables,
-        wcost,
-        wpower,
-        candidate,
-        None,
-        &mut placement,
-        &mut |_, _| false,
-    )?;
-    Ok(placement)
-}
-
-/// [`reconstruct_in`] over a caller-seeded placement with a subtree-reuse
-/// hook — the incremental solver's fast path.
-///
-/// `visit(p, target)` is called once per position the backtrack reaches,
-/// with the exact [`Triple`] that subtree must produce. Returning `true`
-/// asserts the seeded placement already holds the correct sub-placement
-/// for `subtree(p)`, and the walk skips it entirely. This is sound
-/// because the backtrack below `p` is a deterministic pure function of
-/// `(tables of subtree(p), target)`: if neither changed since the
-/// placement in the seed was produced, the decisions — and therefore the
-/// sub-placement — are bit-for-bit the same. A `false` return expands
-/// `p` as usual, *overwriting* the seed: every child slot is explicitly
-/// set or cleared, so stale seed servers cannot leak through an expanded
-/// region.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reconstruct_seeded(
-    instance: &Instance,
-    flat: &FlatTree,
-    tables: &[Vec<Triple>],
-    wcost: &[f64],
-    wpower: &[f64],
-    candidate: &PrunedCandidate,
-    inters: Option<&[Vec<Vec<Triple>>]>,
-    placement: &mut Placement,
-    visit: &mut dyn FnMut(usize, &Triple) -> bool,
-) -> Result<(), ModelError> {
-    let root_node = flat.node_at(flat.root_position());
-    match candidate.root_mode {
-        Some(mode) => placement.insert(root_node, mode),
-        None => {
-            placement.remove(root_node);
+        self.delete_constant = pre.iter().map(|(_, o)| cost_model.deleted_server(o)).sum();
+        let n = self.flat.len();
+        self.tables.resize_with(n, Vec::new);
+        self.prefixes.resize_with(n, Vec::new);
+        for p in 0..n {
+            self.compute_position(instance, p, 0);
         }
+        self.scan_root(instance);
     }
-    let modes = instance.modes();
-    let wmax = instance.max_capacity();
-    let m = modes.count();
 
-    let mut scratch_inter: Vec<Vec<Triple>> = Vec::new();
-    let mut work: Vec<(usize, Triple)> = vec![(flat.root_position(), candidate.triple)];
-    while let Some((p, target)) = work.pop() {
-        if visit(p, &target) {
-            continue;
-        }
+    /// Refolds position `p`'s children into `tables[p]`, from fold index
+    /// `start` on — THE forward-pass step. Its children's tables must
+    /// already be current.
+    ///
+    /// `start` is the fold index of the first child whose table changed
+    /// since `p` was last folded (0 when `p`'s direct load changed, and
+    /// always 0 in the batch pass). The prefixes before it are reused
+    /// verbatim and only the fold's suffix re-merges. Because that suffix
+    /// runs the *same* [`merge_into`] calls on bit-identical inputs that a
+    /// fold from the base would reach, the table is bit-identical to a
+    /// from-scratch solve by construction.
+    pub(crate) fn compute_position(&mut self, instance: &Instance, p: usize, start: usize) {
+        let PrunedScratch {
+            flat,
+            wcost,
+            wpower,
+            tables,
+            prefixes,
+            next,
+            kept,
+            served,
+            served_kept,
+            merge,
+            ..
+        } = self;
         let children = flat.children(p);
-        if children.is_empty() {
-            debug_assert_eq!(target.flow, flat.client_load(p));
-            continue;
-        }
-        // The split search below needs the accumulated table *before*
-        // each child — `inter[k]` for fold index `k`. The incremental
-        // solver hands these in pre-computed (its forward pass caches
-        // them); otherwise recompute them here, bit-identical to the
-        // forward pass. The accumulator *after* the last child is never
-        // consulted, so the fresh rebuild skips that final (and most
-        // expensive) merge.
-        let inter: &[Vec<Triple>] = match inters {
-            Some(all) => &all[p],
-            None => {
-                scratch_inter.clear();
-                scratch_inter.push(vec![Triple {
-                    flow: flat.client_load(p),
-                    cost: 0.0,
-                    power: 0.0,
-                }]);
-                for &child in &children[..children.len() - 1] {
-                    let next = merge(
-                        instance,
-                        wcost,
-                        wpower,
-                        child as usize,
-                        scratch_inter.last().expect("non-empty"),
-                        &tables[child as usize],
-                    );
-                    scratch_inter.push(next);
-                }
-                &scratch_inter
-            }
+        let len = children.len();
+        let prefixes = &mut prefixes[p];
+        prefixes.resize_with(len.saturating_sub(1), Vec::new);
+        let base = fold_base(flat, p);
+        let base: &[Triple] = if base[0].flow <= instance.max_capacity() {
+            &base
+        } else {
+            &[]
         };
+        if len == 0 {
+            tables[p].clear();
+            tables[p].extend_from_slice(base);
+            return;
+        }
+        for k in start..len {
+            let left: &[Triple] = if k == 0 { base } else { &prefixes[k - 1] };
+            if left.is_empty() {
+                // An empty accumulator stays empty through every further
+                // merge; clear the stale suffix so a later suffix-only
+                // refold sees it.
+                for later in &mut prefixes[k..] {
+                    later.clear();
+                }
+                tables[p].clear();
+                return;
+            }
+            let child = children[k] as usize;
+            merge_into(
+                instance,
+                wcost,
+                wpower,
+                child,
+                left,
+                &tables[child],
+                next,
+                kept,
+                served,
+                served_kept,
+                merge,
+            );
+            // Copy rather than swap: the slot stays sized to its table and
+            // `next` keeps its capacity, so re-solves retain no more memory.
+            let slot = if k + 1 < len {
+                &mut prefixes[k]
+            } else {
+                &mut tables[p]
+            };
+            slot.clear();
+            slot.extend_from_slice(next);
+        }
+    }
 
-        let mut cur = target;
-        for (k, &child) in children.iter().enumerate().rev() {
-            let left = &inter[k];
-            let child_table = &tables[child as usize];
-            let mut found = None;
-            'search: for l in left {
-                for c in child_table {
-                    // Option a: no replica on the child.
-                    #[allow(clippy::float_cmp)] // bit-reproducible sums
-                    if l.flow + c.flow == cur.flow
-                        && l.flow + c.flow <= wmax
-                        && l.cost + c.cost == cur.cost
-                        && l.power + c.power == cur.power
-                    {
-                        found = Some((*l, *c, None));
-                        break 'search;
-                    }
-                    // Option b: replica at the child in some mode.
-                    if l.flow == cur.flow {
-                        if let Some(first) = modes.mode_for_load(c.flow) {
-                            for mode in first..m {
-                                #[allow(clippy::float_cmp)]
-                                if l.cost + c.cost + wcost[child as usize * m + mode] == cur.cost
-                                    && l.power + c.power + wpower[mode] == cur.power
-                                {
-                                    found = Some((*l, *c, Some(mode)));
-                                    break 'search;
+    /// Scans the root table into the feasible candidate set (the
+    /// no-replica option for flow 0, plus every feasible root mode per
+    /// entry).
+    pub(crate) fn scan_root(&mut self, instance: &Instance) {
+        let modes = instance.modes();
+        let m = modes.count();
+        let root = self.flat.root_position();
+        self.candidates.clear();
+        for &t in &self.tables[root] {
+            if t.flow == 0 {
+                self.candidates.push(PrunedCandidate {
+                    triple: t,
+                    root_mode: None,
+                    cost: t.cost + self.delete_constant,
+                    power: t.power,
+                });
+            }
+            if let Some(first) = modes.mode_for_load(t.flow) {
+                for mode in first..m {
+                    self.candidates.push(PrunedCandidate {
+                        triple: t,
+                        root_mode: Some(mode),
+                        cost: t.cost + self.wcost[root * m + mode] + self.delete_constant,
+                        power: t.power + self.wpower[mode],
+                    });
+                }
+            }
+        }
+    }
+
+    /// Minimum-power candidate with cost within `cost_bound` (ties broken
+    /// by cost — deterministic because `total_cmp` is a total order).
+    pub(crate) fn best_within(&self, cost_bound: f64) -> Option<&PrunedCandidate> {
+        self.candidates
+            .iter()
+            .filter(|c| le_tolerant(c.cost, cost_bound))
+            .min_by(|a, b| a.power.total_cmp(&b.power).then(a.cost.total_cmp(&b.cost)))
+    }
+
+    /// Total entries across all position tables.
+    pub(crate) fn table_entries(&self) -> usize {
+        self.tables.iter().map(Vec::len).sum()
+    }
+
+    /// Backtracks `candidate` into `placement` over the cached tables and
+    /// fold prefixes — THE backtrack (bit-exact matching, see module docs).
+    ///
+    /// `visit(p, target)` is called once per position the backtrack
+    /// reaches, with the exact [`Triple`] that subtree must produce.
+    /// Returning `true` asserts `placement` already holds the correct
+    /// sub-placement for `subtree(p)`, and the walk skips it entirely. This
+    /// is sound because the backtrack below `p` is a deterministic pure
+    /// function of `(tables of subtree(p), target)`: if neither changed
+    /// since the sub-placement in the seed was produced, the decisions —
+    /// and therefore the sub-placement — are bit-for-bit the same. A
+    /// `false` return expands `p`, *overwriting* the seed: every child slot
+    /// is explicitly set or cleared, so stale seed servers cannot leak
+    /// through an expanded region.
+    pub(crate) fn reconstruct(
+        &self,
+        instance: &Instance,
+        candidate: &PrunedCandidate,
+        placement: &mut Placement,
+        visit: &mut dyn FnMut(usize, &Triple) -> bool,
+    ) -> Result<(), ModelError> {
+        let flat = &self.flat;
+        let root_node = flat.node_at(flat.root_position());
+        match candidate.root_mode {
+            Some(mode) => placement.insert(root_node, mode),
+            None => {
+                placement.remove(root_node);
+            }
+        }
+        let modes = instance.modes();
+        let wmax = instance.max_capacity();
+        let m = modes.count();
+        let (wcost, wpower) = (&self.wcost, &self.wpower);
+
+        let mut work: Vec<(usize, Triple)> = vec![(flat.root_position(), candidate.triple)];
+        while let Some((p, target)) = work.pop() {
+            if visit(p, &target) {
+                continue;
+            }
+            let children = flat.children(p);
+            if children.is_empty() {
+                debug_assert_eq!(target.flow, flat.client_load(p));
+                continue;
+            }
+            let base = fold_base(flat, p);
+            let mut cur = target;
+            for (k, &child) in children.iter().enumerate().rev() {
+                // The accumulated table before child `k`, as the fold left it.
+                let left: &[Triple] = if k == 0 {
+                    &base
+                } else {
+                    &self.prefixes[p][k - 1]
+                };
+                let child_table = &self.tables[child as usize];
+                let mut found = None;
+                'search: for l in left {
+                    for c in child_table {
+                        // Option a: no replica on the child.
+                        #[allow(clippy::float_cmp)] // bit-reproducible sums
+                        if l.flow + c.flow == cur.flow
+                            && l.flow + c.flow <= wmax
+                            && l.cost + c.cost == cur.cost
+                            && l.power + c.power == cur.power
+                        {
+                            found = Some((*l, *c, None));
+                            break 'search;
+                        }
+                        // Option b: replica at the child in some mode.
+                        if l.flow == cur.flow {
+                            if let Some(first) = modes.mode_for_load(c.flow) {
+                                for mode in first..m {
+                                    #[allow(clippy::float_cmp)]
+                                    if l.cost + c.cost + wcost[child as usize * m + mode]
+                                        == cur.cost
+                                        && l.power + c.power + wpower[mode] == cur.power
+                                    {
+                                        found = Some((*l, *c, Some(mode)));
+                                        break 'search;
+                                    }
                                 }
                             }
                         }
                     }
                 }
-            }
-            let (l, c, server_mode) = found.ok_or_else(|| {
-                let node = flat.node_at(p);
-                ModelError::Infeasible(format!(
-                    "internal error: no producer for pruned state at {node}"
-                ))
-            })?;
-            match server_mode {
-                Some(mode) => placement.insert(flat.node_at(child as usize), mode),
-                None => {
-                    placement.remove(flat.node_at(child as usize));
+                let (l, c, server_mode) = found.ok_or_else(|| {
+                    let node = flat.node_at(p);
+                    ModelError::Infeasible(format!(
+                        "internal error: no producer for pruned state at {node}"
+                    ))
+                })?;
+                match server_mode {
+                    Some(mode) => placement.insert(flat.node_at(child as usize), mode),
+                    None => {
+                        placement.remove(flat.node_at(child as usize));
+                    }
                 }
+                work.push((child as usize, c));
+                cur = l;
             }
-            work.push((child as usize, c));
-            cur = l;
         }
+        Ok(())
     }
-    Ok(())
 }
 
 impl<'a> PrunedPowerDp<'a> {
@@ -834,45 +708,8 @@ impl<'a> PrunedPowerDp<'a> {
     /// (the error path returns them immediately).
     pub fn run_in(instance: &'a Instance, scratch: &mut PrunedScratch) -> Result<Self, ModelError> {
         let mut s = std::mem::take(scratch);
-        let delete_constant = deletion_constant(instance);
-
-        s.flat.rebuild(instance.tree());
-        fill_weights(instance, &s.flat, &mut s.wcost, &mut s.wpower);
-        let n = s.flat.len();
-        s.tables.truncate(n);
-        for t in &mut s.tables {
-            t.clear();
-        }
-        s.tables.resize_with(n, Vec::new);
-
-        for p in s.flat.positions() {
-            compute_position(
-                instance,
-                &s.flat,
-                &s.wcost,
-                &s.wpower,
-                p,
-                &mut s.tables,
-                &mut s.cur,
-                &mut s.next,
-                &mut s.kept,
-                &mut s.served,
-                &mut s.served_kept,
-                &mut s.merge,
-            );
-        }
-
-        let mut candidates = Vec::new();
-        scan_root(
-            instance,
-            &s.flat,
-            &s.tables[s.flat.root_position()],
-            &s.wcost,
-            &s.wpower,
-            delete_constant,
-            &mut candidates,
-        );
-        if candidates.is_empty() {
+        s.forward(instance);
+        if s.candidates.is_empty() {
             *scratch = s;
             return Err(ModelError::Infeasible(
                 "no feasible placement exists for this instance".into(),
@@ -881,8 +718,6 @@ impl<'a> PrunedPowerDp<'a> {
         Ok(PrunedPowerDp {
             instance,
             scratch: s,
-            candidates,
-            delete_constant,
         })
     }
 
@@ -893,23 +728,26 @@ impl<'a> PrunedPowerDp<'a> {
 
     /// All root candidates.
     pub fn candidates(&self) -> &[PrunedCandidate] {
-        &self.candidates
+        &self.scratch.candidates
     }
 
     /// Total entries across all node tables (the ablation metric).
     pub fn table_entries(&self) -> usize {
-        self.scratch.tables.iter().map(Vec::len).sum()
+        self.scratch.table_entries()
     }
 
     /// Minimum-power candidate with cost within `cost_bound`.
     pub fn best_within(&self, cost_bound: f64) -> Option<&PrunedCandidate> {
-        best_candidate_within(&self.candidates, cost_bound)
+        self.scratch.best_within(cost_bound)
     }
 
     /// Raw `(cost, power)` pairs of every root candidate — the input to a
     /// budget-sweep frontier (see [`crate::frontier`]).
     pub fn cost_power_points(&self) -> Vec<(f64, f64)> {
-        self.candidates.iter().map(|c| (c.cost, c.power)).collect()
+        self.candidates()
+            .iter()
+            .map(|c| (c.cost, c.power))
+            .collect()
     }
 
     /// The cost/power Pareto front (increasing cost, decreasing power,
@@ -918,19 +756,13 @@ impl<'a> PrunedPowerDp<'a> {
         crate::frontier::pareto_filter(self.cost_power_points(), replica_model::COST_EPSILON)
     }
 
-    /// Rebuilds a placement achieving `candidate` (bit-exact backtrack, see
-    /// module docs).
+    /// Rebuilds a placement achieving `candidate`: the one backtrack, over
+    /// an empty placement, with a visitor that never skips.
     pub fn reconstruct(&self, candidate: &PrunedCandidate) -> Result<Placement, ModelError> {
-        let s = &self.scratch;
-        let _ = self.delete_constant;
-        reconstruct_in(
-            self.instance,
-            &s.flat,
-            &s.tables,
-            &s.wcost,
-            &s.wpower,
-            candidate,
-        )
+        let mut placement = Placement::with_slots(self.scratch.flat.len());
+        self.scratch
+            .reconstruct(self.instance, candidate, &mut placement, &mut |_, _| false)?;
+        Ok(placement)
     }
 }
 
@@ -1146,6 +978,42 @@ mod tests {
             "pruned tables unexpectedly large: {}",
             pruned.table_entries()
         );
+    }
+
+    /// Summed capacity of every table and fold prefix.
+    fn retained(s: &PrunedScratch) -> usize {
+        s.tables
+            .iter()
+            .chain(s.prefixes.iter().flatten())
+            .map(Vec::capacity)
+            .sum()
+    }
+
+    #[test]
+    fn re_solves_retain_the_same_table_memory() {
+        // Each fold copies its merge result into the slot, so slots stay
+        // sized to their tables and the working buffers keep their own
+        // capacity: re-solving one instance retains no more memory than
+        // the second solve did, through either driver.
+        let inst = random_instance(41, 300, 30);
+        let mut scratch = PrunedScratch::default();
+        let mut batch = Vec::new();
+        for _ in 0..5 {
+            PrunedPowerDp::run_in(&inst, &mut scratch)
+                .unwrap()
+                .recycle(&mut scratch);
+            batch.push(retained(&scratch));
+        }
+        assert_eq!(batch[1], batch[4], "batch re-solves: {batch:?}");
+
+        let mut dp = crate::IncrementalDp::new(inst);
+        let mut epochs = Vec::new();
+        for _ in 0..5 {
+            dp.mark_all();
+            dp.resolve(f64::INFINITY).unwrap();
+            epochs.push(retained(&dp.scratch));
+        }
+        assert_eq!(epochs[1], epochs[4], "incremental epochs: {epochs:?}");
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub fn greedy_min_replicas_in(
 /// `flat` must be freshly [rebuilt](FlatTree::rebuild) against the tree's
 /// current demand (the layout snapshots client loads). Placements are
 /// bit-identical to the pre-flat pointer traversal
-/// ([`crate::reference::greedy_min_replicas`]): positions are visited in the
+/// (the test suite's `reference::greedy_min_replicas`): positions are visited in the
 /// exact `traversal::post_order` sequence and the largest-first absorb sorts
 /// the same `(flow, NodeId)` keys.
 pub fn greedy_min_replicas_flat(

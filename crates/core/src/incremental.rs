@@ -8,21 +8,23 @@
 //! update at node `q` therefore invalidates exactly `q` and its ancestors —
 //! the root path — and every other table can be reused **verbatim**.
 //!
-//! [`IncrementalDp`] exploits this. It owns the instance, keeps the
-//! [`FlatTree`] demand snapshot fresh with
-//! [`FlatTree::refresh_demand`] (exact `u64` delta propagation — identical
-//! to a rebuild), marks touched positions in a [`DirtySet`], and on
-//! [`IncrementalDp::resolve`] sweeps the ancestor-closed dirty set in
-//! ascending post order, recomputing each swept table with
-//! `compute_position_cached` — the *same* forward-pass merge kernel
-//! [`PrunedPowerDp`](crate::dp_power_pruned::PrunedPowerDp) runs, plus a
-//! fold-prefix cache that restarts each fold at the first child whose
-//! table actually changed and hands the backtrack its intermediate
-//! tables for free. Untouched
-//! children feed the recompute bit-identical inputs, so by induction every
-//! recomputed table — and hence the root scan, the budget filter, and the
-//! backtracked placement — is **bit-identical to a from-scratch solve**.
-//! This is not a tolerance claim; the equivalence battery
+//! [`IncrementalDp`] exploits this. It owns the instance and one
+//! [`PrunedScratch`]: the forward-pass state a batch
+//! [`PrunedPowerDp`](crate::dp_power_pruned::PrunedPowerDp) solve runs
+//! through, fold prefixes included. It keeps the scratch's flat demand
+//! snapshot fresh with
+//! [`FlatTree::refresh_demand`](replica_tree::FlatTree::refresh_demand)
+//! (exact `u64` delta propagation — identical to a rebuild), marks touched
+//! positions in a [`DirtySet`], and on [`IncrementalDp::resolve`] sweeps
+//! the ancestor-closed dirty set in ascending post order through the
+//! *same* fold step the batch solve runs, restarting each fold at the
+//! first child whose table actually changed. Untouched children feed the
+//! refold bit-identical inputs, so by induction every recomputed table —
+//! and hence the root scan, the budget filter, and the backtracked
+//! placement — is **bit-identical to a from-scratch solve**. The backtrack
+//! is the batch one too, seeded with the previous placement and a visitor
+//! that skips subtrees whose decisions cannot have changed. This is not a
+//! tolerance claim; the equivalence battery
 //! (`tests/incremental_equivalence.rs`) pins `to_bits` equality on cost and
 //! power plus placement equality after every epoch.
 //!
@@ -34,13 +36,10 @@
 //! place, so the next exact [`IncrementalDp::resolve`] reconciles
 //! everything that accumulated since the last DP epoch.
 
-use crate::dp_power_pruned::{
-    best_candidate_within, compute_position_cached, deletion_constant, fill_weights,
-    reconstruct_seeded, scan_root, MergeScratch, PrunedCandidate, Served, Triple,
-};
+use crate::dp_power_pruned::{PrunedScratch, Triple};
 use crate::greedy::{greedy_min_replicas_flat, GreedyScratch};
 use replica_model::{le_tolerant, Instance, ModePolicy, ModelError, Placement, Solution};
-use replica_tree::{ClientId, DirtySet, FlatTree};
+use replica_tree::{ClientId, DirtySet};
 
 /// A persistent pruned-DP solver over one instance with mutable demand.
 ///
@@ -69,18 +68,9 @@ use replica_tree::{ClientId, DirtySet, FlatTree};
 /// ```
 pub struct IncrementalDp {
     instance: Instance,
-    flat: FlatTree,
-    /// `tables[p]`: the Pareto table of position `p`, always current except
-    /// at dirty positions.
-    tables: Vec<Vec<Triple>>,
-    /// `inters[p][k]`: the fold accumulator *before* merging child `k` of
-    /// position `p` (see [`compute_position_cached`]). Lets a recompute
-    /// restart at the first changed child instead of refolding every
-    /// child, and hands the backtrack its intermediate tables for free.
-    inters: Vec<Vec<Vec<Triple>>>,
-    wcost: Vec<f64>,
-    wpower: Vec<f64>,
-    delete_constant: f64,
+    /// The forward-pass state: layout, weights, tables (current except at
+    /// dirty positions), fold prefixes, merge buffers, root candidates.
+    pub(crate) scratch: PrunedScratch,
     dirty: DirtySet,
     sweep: Vec<usize>,
     /// Scratch flags marking the current sweep (first-changed-child test).
@@ -89,13 +79,6 @@ pub struct IncrementalDp {
     /// — their fold must restart at the base, not at a changed child.
     direct: Vec<bool>,
     direct_list: Vec<usize>,
-    candidates: Vec<PrunedCandidate>,
-    // Merge scratch (same shape as `PrunedScratch`'s buffers).
-    next: Vec<Triple>,
-    kept: Vec<Triple>,
-    served: Vec<Served>,
-    served_kept: Vec<Served>,
-    merge_scratch: MergeScratch,
     greedy: GreedyScratch,
     last_recomputed: usize,
     // Reconstruct-reuse cache. The backtrack below position `p` is a
@@ -122,58 +105,27 @@ fn target_bits(t: &Triple) -> (u64, u64, u64) {
 }
 
 impl IncrementalDp {
-    /// Builds the solver and runs the initial full forward pass, so the
-    /// first [`IncrementalDp::resolve`] is table-warm.
+    /// Builds the solver and runs the initial full forward pass (the batch
+    /// one), so the first [`IncrementalDp::resolve`] is table-warm.
     pub fn new(instance: Instance) -> Self {
-        let flat = FlatTree::new(instance.tree());
-        let n = flat.len();
-        let mut dp = IncrementalDp {
-            delete_constant: deletion_constant(&instance),
+        let mut scratch = PrunedScratch::default();
+        scratch.forward(&instance);
+        let n = scratch.flat.len();
+        IncrementalDp {
             instance,
-            flat,
-            tables: Vec::new(),
-            inters: vec![Vec::new(); n],
-            wcost: Vec::new(),
-            wpower: Vec::new(),
+            scratch,
             dirty: DirtySet::with_len(n),
             sweep: Vec::new(),
             in_sweep: vec![false; n],
             direct: vec![false; n],
             direct_list: Vec::new(),
-            candidates: Vec::new(),
-            next: Vec::new(),
-            kept: Vec::new(),
-            served: Vec::new(),
-            served_kept: Vec::new(),
-            merge_scratch: MergeScratch::default(),
             greedy: GreedyScratch::default(),
             last_recomputed: 0,
             prev_placement: None,
             prev_targets: vec![None; n],
             stale: vec![false; n],
             stale_list: Vec::new(),
-        };
-        fill_weights(&dp.instance, &dp.flat, &mut dp.wcost, &mut dp.wpower);
-        dp.tables.resize_with(n, Vec::new);
-        for p in dp.flat.positions() {
-            compute_position_cached(
-                &dp.instance,
-                &dp.flat,
-                &dp.wcost,
-                &dp.wpower,
-                p,
-                0,
-                &mut dp.tables,
-                &mut dp.inters[p],
-                &mut dp.next,
-                &mut dp.kept,
-                &mut dp.served,
-                &mut dp.served_kept,
-                &mut dp.merge_scratch,
-            );
         }
-        dp.rescan_root();
-        dp
     }
 
     /// The instance being served (topology, models, current demand).
@@ -183,7 +135,7 @@ impl IncrementalDp {
 
     /// Number of tree nodes.
     pub fn node_count(&self) -> usize {
-        self.flat.len()
+        self.scratch.flat.len()
     }
 
     /// Positions explicitly dirtied since the last resolve (before
@@ -195,7 +147,7 @@ impl IncrementalDp {
     /// Dirty fraction of the tree — the warm-start policy input: above a
     /// caller-chosen threshold, prefer [`IncrementalDp::greedy_fallback`].
     pub fn dirty_fraction(&self) -> f64 {
-        self.dirty.marked_len() as f64 / self.flat.len() as f64
+        self.dirty.marked_len() as f64 / self.node_count() as f64
     }
 
     /// Positions recomputed by the last [`IncrementalDp::resolve`]
@@ -206,7 +158,7 @@ impl IncrementalDp {
 
     /// Total entries across all node tables (diagnostics).
     pub fn table_entries(&self) -> usize {
-        self.tables.iter().map(Vec::len).sum()
+        self.scratch.table_entries()
     }
 
     /// Updates one client's request volume. Returns whether the attach
@@ -214,8 +166,9 @@ impl IncrementalDp {
     pub fn set_requests(&mut self, client: ClientId, volume: u64) -> bool {
         let node = self.instance.tree().client(client).attach;
         self.instance.tree_mut().set_requests(client, volume);
-        if self.flat.refresh_demand(self.instance.tree(), node) {
-            let p = self.flat.position_of(node);
+        let flat = &mut self.scratch.flat;
+        if flat.refresh_demand(self.instance.tree(), node) {
+            let p = flat.position_of(node);
             self.dirty.mark(p);
             self.mark_direct(p);
             true
@@ -227,7 +180,7 @@ impl IncrementalDp {
     /// Forces the next [`IncrementalDp::resolve`] to recompute every table
     /// (a from-scratch epoch through the same code path).
     pub fn mark_all(&mut self) {
-        for p in self.flat.positions() {
+        for p in self.scratch.flat.positions() {
             self.dirty.mark(p);
             self.mark_direct(p);
         }
@@ -241,18 +194,17 @@ impl IncrementalDp {
     }
 
     /// Re-solves exactly: sweeps the dirty closure bottom-up through the
-    /// shared forward-pass kernel, rescans the root, and backtracks the
+    /// shared fold step, rescans the root, and backtracks the
     /// minimum-power placement within `cost_bound`. Bit-identical to a
     /// fresh [`solve_min_power_bounded_cost`](crate::dp_power_pruned::solve_min_power_bounded_cost)
     /// on the same demand.
     pub fn resolve(&mut self, cost_bound: f64) -> Result<(Placement, f64, f64), ModelError> {
-        self.dirty.sweep(&self.flat, &mut self.sweep);
+        self.dirty.sweep(&self.scratch.flat, &mut self.sweep);
         self.last_recomputed = self.sweep.len();
         for &p in &self.sweep {
             self.in_sweep[p] = true;
         }
-        for i in 0..self.sweep.len() {
-            let p = self.sweep[i];
+        for &p in &self.sweep {
             if !self.stale[p] {
                 self.stale[p] = true;
                 self.stale_list.push(p);
@@ -263,27 +215,14 @@ impl IncrementalDp {
             let start = if self.direct[p] {
                 0
             } else {
-                self.flat
+                self.scratch
+                    .flat
                     .children(p)
                     .iter()
                     .position(|&c| self.in_sweep[c as usize])
                     .unwrap_or(0)
             };
-            compute_position_cached(
-                &self.instance,
-                &self.flat,
-                &self.wcost,
-                &self.wpower,
-                p,
-                start,
-                &mut self.tables,
-                &mut self.inters[p],
-                &mut self.next,
-                &mut self.kept,
-                &mut self.served,
-                &mut self.served_kept,
-                &mut self.merge_scratch,
-            );
+            self.scratch.compute_position(&self.instance, p, start);
         }
         for &p in &self.sweep {
             self.in_sweep[p] = false;
@@ -291,13 +230,13 @@ impl IncrementalDp {
         for p in self.direct_list.drain(..) {
             self.direct[p] = false;
         }
-        self.rescan_root();
-        if self.candidates.is_empty() {
+        self.scratch.scan_root(&self.instance);
+        if self.scratch.candidates.is_empty() {
             return Err(ModelError::Infeasible(
                 "no feasible placement exists for this instance".into(),
             ));
         }
-        let best = match best_candidate_within(&self.candidates, cost_bound) {
+        let best = match self.scratch.best_within(cost_bound) {
             Some(&b) => b,
             None => {
                 return Err(ModelError::Infeasible(format!(
@@ -305,60 +244,27 @@ impl IncrementalDp {
                 )))
             }
         };
-        // Backtrack, reusing cached sub-placements for subtrees whose
-        // tables are fresh since the last backtrack and whose target
-        // triple is bit-identical — the decisions there cannot differ.
-        let mut placement;
-        let walked = {
-            let stale = &self.stale;
-            let prev_targets = &mut self.prev_targets;
-            match self.prev_placement.as_ref() {
-                Some(prev) => {
-                    placement = prev.clone();
-                    reconstruct_seeded(
-                        &self.instance,
-                        &self.flat,
-                        &self.tables,
-                        &self.wcost,
-                        &self.wpower,
-                        &best,
-                        Some(&self.inters),
-                        &mut placement,
-                        &mut |p, t| {
-                            let bits = target_bits(t);
-                            if !stale[p] && prev_targets[p] == Some(bits) {
-                                return true;
-                            }
-                            prev_targets[p] = Some(bits);
-                            false
-                        },
-                    )
+        // Backtrack into the previous placement, skipping subtrees whose
+        // tables are fresh since the last backtrack and whose target triple
+        // is bit-identical — the decisions there cannot differ. Without a
+        // previous placement (the first epoch, or after a failed
+        // backtrack) nothing is skipped. A failure leaves no seed behind,
+        // so the next epoch rebuilds from scratch.
+        let seeded = self.prev_placement.is_some();
+        let mut placement = self
+            .prev_placement
+            .take()
+            .unwrap_or_else(|| Placement::with_slots(self.node_count()));
+        let (stale, prev_targets) = (&self.stale, &mut self.prev_targets);
+        self.scratch
+            .reconstruct(&self.instance, &best, &mut placement, &mut |p, t| {
+                let bits = target_bits(t);
+                if seeded && !stale[p] && prev_targets[p] == Some(bits) {
+                    return true;
                 }
-                None => {
-                    placement = Placement::with_slots(self.flat.len());
-                    reconstruct_seeded(
-                        &self.instance,
-                        &self.flat,
-                        &self.tables,
-                        &self.wcost,
-                        &self.wpower,
-                        &best,
-                        Some(&self.inters),
-                        &mut placement,
-                        &mut |p, t| {
-                            prev_targets[p] = Some(target_bits(t));
-                            false
-                        },
-                    )
-                }
-            }
-        };
-        if let Err(e) = walked {
-            // A failed backtrack may have half-updated `prev_targets`;
-            // drop the cache so the next epoch rebuilds from scratch.
-            self.prev_placement = None;
-            return Err(e);
-        }
+                prev_targets[p] = Some(bits);
+                false
+            })?;
         self.prev_placement = Some(placement.clone());
         for p in self.stale_list.drain(..) {
             self.stale[p] = false;
@@ -381,7 +287,8 @@ impl IncrementalDp {
         let hi = self.instance.max_capacity();
         let mut best: Option<(Placement, f64, f64)> = None;
         for w in lo..=hi {
-            let Ok(greedy) = greedy_min_replicas_flat(&self.flat, w, &mut self.greedy) else {
+            let Ok(greedy) = greedy_min_replicas_flat(&self.scratch.flat, w, &mut self.greedy)
+            else {
                 continue;
             };
             // Re-moding to the lowest feasible mode cannot fail: every
@@ -408,18 +315,6 @@ impl IncrementalDp {
                 "greedy sweep finds nothing under cost {cost_bound}"
             ))
         })
-    }
-
-    fn rescan_root(&mut self) {
-        scan_root(
-            &self.instance,
-            &self.flat,
-            &self.tables[self.flat.root_position()],
-            &self.wcost,
-            &self.wpower,
-            self.delete_constant,
-            &mut self.candidates,
-        );
     }
 }
 

@@ -69,7 +69,6 @@ pub mod greedy_power;
 pub mod heuristics;
 pub mod incremental;
 pub mod np_gadget;
-pub mod reference;
 pub mod state;
 
 pub use arena::SolveArena;

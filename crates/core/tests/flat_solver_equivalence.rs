@@ -1,6 +1,6 @@
 //! Flat-vs-reference equivalence battery: the flat-layout solver hot paths
 //! against the pre-flat pointer-chasing pipelines preserved verbatim in
-//! [`replica_core::reference`].
+//! `support/reference.rs`.
 //!
 //! The flat conversion promised *bit-identical* results — not "equally
 //! optimal", the same placements with the same `f64` bit patterns — and
@@ -13,10 +13,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use replica_core::{dp_power, dp_power_pruned, greedy, greedy_power, reference, SolveArena};
+use replica_core::{dp_power, dp_power_pruned, greedy, greedy_power, SolveArena};
 use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting};
 use replica_tree::{generate, GeneratorConfig};
 use std::cell::RefCell;
+
+#[path = "support/reference.rs"]
+mod reference;
 
 thread_local! {
     /// One arena across every proptest case on this thread — deliberately

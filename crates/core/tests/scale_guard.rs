@@ -37,12 +37,20 @@
 //!    model-layer re-evaluation of both argmins is bit-identical, and
 //!    each solver's claimed value matches its placement to ulp
 //!    precision.
+//! 4. Where the merge kernel's liberties actually fire (mid-merge
+//!    compaction, the staircase prefilter), a batch solve and an
+//!    incremental epoch both stay bit-identical to the pre-flat
+//!    reference.
 
-use rand::{rngs::StdRng, SeedableRng};
-use replica_core::{dp_power, dp_power_pruned, SolveArena};
-use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting, Solution};
-use replica_tree::{generate, GeneratorConfig};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use replica_core::{dp_power, dp_power_pruned, IncrementalDp, SolveArena};
+use replica_model::{CostModel, Instance, ModeSet, Placement, PowerModel, PreExisting, Solution};
+use replica_tree::{generate, ClientId, GeneratorConfig};
 use std::time::{Duration, Instant};
+
+#[allow(dead_code)] // this file uses only the pruned oracle
+#[path = "support/reference.rs"]
+mod reference;
 
 /// Paper-fat tree with 10% pre-existing servers at mode 1, modes {5, 10},
 /// Fig-8 uniform costs, and the given power model.
@@ -209,4 +217,57 @@ fn downsampled_pruned_matches_full_bitwise() {
             ),
         }
     }
+}
+
+/// Bit-equal placement, cost and power.
+fn assert_bits_equal(got: &(Placement, f64, f64), want: &(Placement, f64, f64), label: &str) {
+    assert_eq!(got.0, want.0, "{label}: placement");
+    assert_eq!(got.1.to_bits(), want.1.to_bits(), "{label}: cost bits");
+    assert_eq!(got.2.to_bits(), want.2.to_bits(), "{label}: power bits");
+}
+
+/// The proptest batteries stop at 45 nodes, below the merge size where
+/// the kernel compacts mid-merge and arms its staircase prefilter. A
+/// 2·10³-node α = 3 tree compacts dozens of times, so here the liberties
+/// run: a batch solve through a dirty arena and an `IncrementalDp` epoch
+/// after a burst of deltas must both match the pre-flat reference, which
+/// takes none of them, bit for bit.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only scale guard: run with cargo test --release"
+)]
+fn merge_liberties_match_the_reference_bitwise() {
+    let instance = experiment3(2_000, 9);
+    let want = |instance: &Instance| {
+        reference::pruned_solve(instance, f64::INFINITY).expect("reference solve")
+    };
+
+    let mut arena = SolveArena::new();
+    dp_power_pruned::solve_min_power_bounded_cost_in(
+        &experiment3(500, 3),
+        f64::INFINITY,
+        &mut arena.pruned,
+    )
+    .expect("dirtying solve");
+    let batch = dp_power_pruned::solve_min_power_bounded_cost_in(
+        &instance,
+        f64::INFINITY,
+        &mut arena.pruned,
+    )
+    .expect("batch solve");
+    assert_bits_equal(&batch, &want(&instance), "batch");
+
+    let clients = instance.tree().client_count();
+    let mut dp = IncrementalDp::new(instance);
+    dp.resolve(f64::INFINITY).expect("first epoch");
+    let mut rng = StdRng::seed_from_u64(9);
+    for _ in 0..64 {
+        // Volumes stay within the generator's 1–6 range (plus zero), so
+        // every node's direct load fits W_M = 10.
+        let client = ClientId::from_index(rng.random_range(0..clients));
+        dp.set_requests(client, rng.random_range(0..7u64));
+    }
+    let epoch = dp.resolve(f64::INFINITY).expect("epoch after the burst");
+    assert_bits_equal(&epoch, &want(dp.instance()), "incremental epoch");
 }

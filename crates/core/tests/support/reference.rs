@@ -1,28 +1,28 @@
 //! Pre-flat-layout reference solvers — the equivalence-battery oracle.
 //!
-//! PR "million-node hot path" converted the hot solvers ([`crate::greedy`],
-//! [`crate::greedy_power`], [`crate::dp_power_pruned`], [`crate::dp_power`])
-//! to iterate the cache-friendly [`replica_tree::FlatTree`] post-order
-//! layout. This module retains the original pointer-chasing implementations
-//! (`traversal::post_order` + `Tree::children` Vec-of-Vecs) **verbatim**, so
-//! `crates/core/tests/flat_solver_equivalence.rs` can prove the converted
+//! The hot solvers (`replica_core::{greedy, greedy_power, dp_power_pruned,
+//! dp_power}`) iterate the cache-friendly `replica_tree::FlatTree`
+//! post-order layout. This module retains their original pointer-chasing
+//! implementations (`traversal::post_order` + `Tree::children`
+//! Vec-of-Vecs) **verbatim**, so the test batteries can prove the flat
 //! solvers return *bit-identical* solutions — same placement, same
 //! `f64::to_bits` cost and power — on arbitrary instances, including
 //! pre-existing-replica and cost-budget modes.
 //!
-//! Nothing here is a public API for solving; production callers use the flat
-//! solvers. Do not "optimize" this module — its entire value is staying
-//! byte-for-byte faithful to the pre-flat operation sequence.
+//! It is test support, not part of the library: test files include it with
+//! `#[path = "support/reference.rs"] mod reference;`. Do not "optimize"
+//! this module — its entire value is staying byte-for-byte faithful to the
+//! pre-flat operation sequence.
 
-use crate::greedy::GreedyResult;
-use crate::greedy_power::SweepPoint;
-use crate::state::{StateCodec, StateKey};
+use replica_core::greedy::GreedyResult;
+use replica_core::greedy_power::SweepPoint;
+use replica_core::state::{StateCodec, StateKey};
 use replica_model::{le_tolerant, Instance, ModeIdx, ModePolicy, ModelError, Placement, Solution};
 use replica_tree::{traversal, NodeId, Tree};
 use rustc_hash::FxHashMap;
 
 // ---------------------------------------------------------------------------
-// Greedy (GR) — pre-flat copy of `crate::greedy::greedy_min_replicas`.
+// Greedy (GR) — pre-flat copy of `replica_core::greedy::greedy_min_replicas`.
 // ---------------------------------------------------------------------------
 
 /// Pre-flat `GR`: post-order pointer traversal, largest-child-first absorb.
@@ -71,7 +71,7 @@ pub fn greedy_min_replicas(tree: &Tree, capacity: u64) -> Result<GreedyResult, M
 }
 
 // ---------------------------------------------------------------------------
-// Greedy power sweep — pre-flat copy of `crate::greedy_power`.
+// Greedy power sweep — pre-flat copy of `replica_core::greedy_power`.
 // ---------------------------------------------------------------------------
 
 /// Pre-flat capacity sweep of the `GR` baseline (paper range `W₁..=W_M`).
@@ -116,11 +116,11 @@ pub fn greedy_power_solve(instance: &Instance, cost_bound: f64) -> Result<SweepP
 }
 
 // ---------------------------------------------------------------------------
-// Dominance-pruned DP — pre-flat copy of `crate::dp_power_pruned`.
+// Dominance-pruned DP — pre-flat copy of `replica_core::dp_power_pruned`.
 // ---------------------------------------------------------------------------
 
 /// One pruned-table entry (identical layout to
-/// [`crate::dp_power_pruned::Triple`], duplicated so this module stays
+/// `replica_core::dp_power_pruned::Triple`, duplicated so this module stays
 /// self-contained).
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Triple {
@@ -353,7 +353,7 @@ pub fn pruned_solve(
 }
 
 // ---------------------------------------------------------------------------
-// Full-state DP — pre-flat copy of `crate::dp_power` (serial merge path).
+// Full-state DP — pre-flat copy of `replica_core::dp_power` (serial merge path).
 // ---------------------------------------------------------------------------
 
 type Table = FxHashMap<StateKey, u64>;

@@ -1092,7 +1092,7 @@ impl<'r> Fleet<'r> {
     /// Solves one `(job, solver)` cell. `parent` is the enclosing batch
     /// span (disabled below solve-level verbosity): each cell gets a
     /// `solve` child span, and phase-aware solvers hang their DP phase
-    /// sub-spans off it ([`Solver::solve_traced`]).
+    /// sub-spans off it ([`Solver::solve_in`]).
     fn run_cell(
         &self,
         job: &FleetJob,
@@ -1118,9 +1118,9 @@ impl<'r> Fleet<'r> {
         // Worker threads solve thousands of cells: the thread arena keeps
         // each solver's flat layout, DP tables and scratch buffers warm
         // across jobs (bit-identical outcomes either way — see
-        // `Solver::solve_traced_in`).
+        // `Solver::solve_in`).
         match crate::solver::with_thread_arena(|arena| {
-            solver.solve_traced_in(&job.instance, &options, &span, arena)
+            solver.solve_in(&job.instance, &options, &span, arena)
         }) {
             Ok(outcome) => (
                 CellResult::Solved(CellOutcome {

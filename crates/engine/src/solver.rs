@@ -31,10 +31,10 @@ thread_local! {
 /// Runs `f` with this thread's [`SolveArena`].
 ///
 /// Re-entrancy safe: if the thread-local arena is already borrowed (a
-/// solver's defaulted [`Solver::solve_traced_in`] delegating back through
-/// [`Solver::solve`] would otherwise double-borrow), `f` gets a fresh
-/// throwaway arena instead. Arena reuse never changes results — see
-/// [`replica_core::arena`] — so which arena `f` receives is unobservable.
+/// [`Solver::solve_in`] that calls back into [`Solver::solve`] would
+/// otherwise double-borrow), `f` gets a fresh throwaway arena instead.
+/// Arena reuse never changes results — see [`replica_core::arena`] — so
+/// which arena `f` receives is unobservable.
 pub fn with_thread_arena<T>(f: impl FnOnce(&mut SolveArena) -> T) -> T {
     SOLVE_ARENA.with(|cell| match cell.try_borrow_mut() {
         Ok(mut arena) => f(&mut arena),
@@ -159,49 +159,38 @@ pub trait Solver: Send + Sync {
     /// What this solver supports.
     fn capabilities(&self) -> Capabilities;
 
-    /// Solves one instance.
-    fn solve(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-    ) -> Result<SolveOutcome, EngineError>;
-
-    /// [`Solver::solve`] under an open telemetry span.
+    /// Solves one instance under an open telemetry span, with
+    /// caller-provided working memory — the one entry point every solver
+    /// implements.
     ///
-    /// Phase-aware solvers (the DP wrappers) override this to hang
-    /// `phase` sub-spans — DP table build, reconstruction — off `span`;
-    /// the default ignores the span entirely. Overrides must be
-    /// *observationally identical* to [`Solver::solve`]: tracing is
-    /// strictly out-of-band, so the returned outcome may not depend on
-    /// the span in any way (the trace-invariance proptest pins this
-    /// through the fleet).
-    fn solve_traced(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        _span: &replica_obs::Span,
-    ) -> Result<SolveOutcome, EngineError> {
-        self.solve(instance, options)
-    }
-
-    /// [`Solver::solve_traced`] with caller-provided working memory.
-    ///
-    /// The fleet runner calls this entry point with one [`SolveArena`] per
-    /// worker thread so the hot solvers (greedy, both power DPs, the `GR`
-    /// sweep) reuse their flat-tree layout, DP tables and prune buffers
-    /// across jobs instead of reallocating per solve. The default ignores
-    /// the arena and delegates to [`Solver::solve_traced`]; overrides must
-    /// be *bit-identical* to the arena-free path (the equivalence
-    /// batteries in `replica-core` pin this through arbitrary reuse
-    /// sequences).
-    fn solve_traced_in(
+    /// Phase-aware solvers (the DP wrappers) hang `phase` sub-spans — DP
+    /// table build, reconstruction — off `span`; the rest ignore it. The
+    /// outcome may not depend on the span in any way: tracing is strictly
+    /// out-of-band (the trace-invariance proptest pins this through the
+    /// fleet). The fleet runner passes one [`SolveArena`] per worker thread
+    /// so the hot solvers (greedy, both power DPs, the `GR` sweep) reuse
+    /// their flat-tree layout, DP tables and prune buffers across jobs;
+    /// solvers without scratch ignore it. Arena reuse must be
+    /// *bit-invisible* (the equivalence batteries in `replica-core` pin
+    /// this through arbitrary reuse sequences).
+    fn solve_in(
         &self,
         instance: &Instance,
         options: &SolveOptions,
         span: &replica_obs::Span,
-        _arena: &mut SolveArena,
+        arena: &mut SolveArena,
+    ) -> Result<SolveOutcome, EngineError>;
+
+    /// Solves one instance: [`Solver::solve_in`] with this thread's arena
+    /// and a disabled span.
+    fn solve(
+        &self,
+        instance: &Instance,
+        options: &SolveOptions,
     ) -> Result<SolveOutcome, EngineError> {
-        self.solve_traced(instance, options, span)
+        with_thread_arena(|arena| {
+            self.solve_in(instance, options, &replica_obs::Span::disabled(), arena)
+        })
     }
 
     /// Whether `instance` is within this solver's capabilities.

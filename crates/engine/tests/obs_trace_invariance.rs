@@ -11,6 +11,7 @@
 //! vacuous).
 
 use proptest::prelude::*;
+use replica_core::SolveArena;
 use replica_engine::obs::{Event, JsonlSink, MemorySink, Obs, Verbosity};
 use replica_engine::output::{json, render, OutputFormat};
 use replica_engine::{Campaign, Fleet, FleetReport, Registry};
@@ -97,9 +98,9 @@ proptest! {
     }
 }
 
-/// The DP phase sub-spans ride the same invariant: `solve()` and
-/// `solve_traced()` are one code path, so their outcomes cannot differ
-/// — but pin it anyway, through the public solver API.
+/// The DP phase sub-spans ride the same invariant: `solve()` and a traced
+/// `solve_in()` are one code path, so their outcomes cannot differ — but
+/// pin it anyway, through the public solver API.
 #[test]
 fn phase_spans_do_not_change_solver_outcomes() {
     use replica_engine::{Scenario, SolveOptions, Topology};
@@ -115,7 +116,9 @@ fn phase_spans_do_not_change_solver_outcomes() {
         let sink = Arc::new(MemorySink::new());
         let obs = Obs::new(sink.clone(), Verbosity::Solve);
         let span = obs.span("solve", name);
-        let traced = solver.solve_traced(&instance, &options, &span).unwrap();
+        let traced = solver
+            .solve_in(&instance, &options, &span, &mut SolveArena::new())
+            .unwrap();
         drop(span);
 
         assert_eq!(plain.cost.to_bits(), traced.cost.to_bits(), "{name}");

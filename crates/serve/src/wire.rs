@@ -101,12 +101,14 @@ impl<'de> Deserialize<'de> for ServeEvent {
                     client.ok_or_else(|| D::Error::custom("delta event is missing \"client\""))?;
                 let volume =
                     volume.ok_or_else(|| D::Error::custom("delta event is missing \"volume\""))?;
-                let client = usize::try_from(client)
+                // Client handles are `u32`: anything wider is out of range
+                // here, before `ClientId::from_index` could panic on it.
+                let client = u32::try_from(client)
                     .map_err(|_| D::Error::custom(format!("client index {client} out of range")))?;
                 let volume = u64::try_from(volume)
                     .map_err(|_| D::Error::custom(format!("volume {volume} out of range")))?;
                 Ok(ServeEvent::Delta {
-                    client: ClientId::from_index(client),
+                    client: ClientId::from_index(client as usize),
                     volume,
                 })
             }
@@ -160,6 +162,7 @@ mod tests {
             "{\"event\":\"delta\",\"client\":1}",
             "{\"event\":\"delta\",\"volume\":1}",
             "{\"event\":\"delta\",\"client\":-1,\"volume\":1}",
+            "{\"event\":\"delta\",\"client\":4294967296,\"volume\":1}",
             "{\"event\":\"resolve\"}",
             "{\"event\":\"epoch\",\"client\":1}",
             "{\"event\":\"delta\",\"client\":1,\"vol\":2}",
