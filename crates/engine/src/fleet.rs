@@ -984,7 +984,7 @@ impl<'r> Fleet<'r> {
             "shard range {range:?} outside the job space (len {})",
             space.len()
         );
-        let solvers: Vec<&dyn Solver> = self
+        let solvers: Vec<&Solver> = self
             .config
             .solvers
             .iter()
@@ -1097,7 +1097,7 @@ impl<'r> Fleet<'r> {
         &self,
         job: &FleetJob,
         job_index: usize,
-        solver: &dyn Solver,
+        solver: &Solver,
         parent: &Span,
     ) -> (CellResult, f64) {
         let mut options = self.config.options;

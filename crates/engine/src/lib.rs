@@ -5,21 +5,22 @@
 //! `docs/ARCHITECTURE.md` at the repository root for the full crate map
 //! and data-flow diagrams):
 //!
-//! 1. **[`solver`]** — the uniform [`Solver`] trait: every algorithm
-//!    becomes `solve(&Instance, &SolveOptions) -> SolveOutcome`, with
-//!    per-solve wall-clock timing, capability flags (mode support,
-//!    pre-existing exploitation, cost-budget handling, exactness,
-//!    amortized sweeps) and metrics re-derived through the model crate's
-//!    independent Eq. 2/3/4 evaluation so outcomes are always comparable.
-//! 2. **[`registry`]** — a name-addressable [`Registry`] covering all ten
-//!    algorithms (the pruned exact DP as the default `dp_power`, the
-//!    full-state DP as its `dp_power_full` cross-check, both greedy
+//! 1. **[`solver`]** — the [`Solver`] row: every algorithm becomes
+//!    `solve(&Instance, &SolveOptions) -> SolveOutcome` through one
+//!    body that refuses what the row does not accept, times the
+//!    algorithm alone and re-derives the metrics through the model
+//!    crate's independent Eq. 2/3/4 evaluation, so outcomes are always
+//!    comparable. Two capability flags say whether the row honors the
+//!    cost budget and whether its answer is exact.
+//! 2. **[`registry`]** — a name-addressable [`Registry`] over one static
+//!    table of ten rows (the pruned exact DP as the default `dp_power`,
+//!    the full-state DP as its `dp_power_full` cross-check, both greedy
 //!    baselines, the three §6 heuristics and the exhaustive oracle).
 //! 3. **[`sweep`]** — the amortized budget-sweep API: one run per
 //!    instance returns the whole budget → (cost, power) [`Frontier`]
-//!    through [`Registry::sweep`], natively where the algorithm amortizes
-//!    (the DPs, the capacity-swept `GR`, the oracle) and via a generic
-//!    per-budget adapter everywhere else.
+//!    through [`Registry::sweep`], from the row's own frontier where the
+//!    algorithm amortizes (the DPs, the capacity-swept `GR`, the oracle)
+//!    and via a generic per-budget adapter everywhere else.
 //! 4. **[`fleet`]** — the rayon-powered [`Fleet`] runner: labelled
 //!    instances × solvers evaluated in parallel with deterministic
 //!    per-instance seeding ([`seeding`]) and folded, in job order, into
@@ -117,12 +118,12 @@ pub use registry::Registry;
 pub use scenarios::{
     churn_families, extended_families, standard_families, Demand, Scenario, Topology,
 };
-pub use solver::{Capabilities, EngineError, Objective, SolveOptions, SolveOutcome, Solver};
+pub use solver::{Capabilities, EngineError, SolveOptions, SolveOutcome, Solver};
 pub use spec::{
     Campaign, CampaignSpec, CampaignSpecBuilder, ScenarioSet, ScenarioSetRef, SpecError,
 };
 pub use stream::{MetricAccumulator, RecordedMetric, Stats};
-pub use sweep::{BudgetSweepSolver, Frontier, FrontierPoint, SweepOutcome};
+pub use sweep::{Frontier, FrontierPoint, SweepOutcome};
 
 /// The out-of-band telemetry layer (re-export of `replica-obs`): the
 /// [`Obs`](replica_obs::Obs) handle the traced fleet entry points
@@ -138,12 +139,10 @@ pub mod prelude {
     pub use crate::scenarios::{
         churn_families, extended_families, standard_families, Demand, Scenario, Topology,
     };
-    pub use crate::solver::{
-        Capabilities, EngineError, Objective, SolveOptions, SolveOutcome, Solver,
-    };
+    pub use crate::solver::{Capabilities, EngineError, SolveOptions, SolveOutcome, Solver};
     pub use crate::spec::{
         Campaign, CampaignSpec, CampaignSpecBuilder, ScenarioSet, ScenarioSetRef, SpecError,
     };
-    pub use crate::sweep::{BudgetSweepSolver, Frontier, FrontierPoint, SweepOutcome};
+    pub use crate::sweep::{Frontier, FrontierPoint, SweepOutcome};
     pub use replica_obs::{Obs, Verbosity};
 }

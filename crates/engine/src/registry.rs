@@ -1,5 +1,5 @@
-//! The solver registry: every algorithm in `replica-core`, wrapped behind
-//! [`Solver`] and addressable by name.
+//! The solver registry: every algorithm in `replica-core` as one row of
+//! a static [`Solver`] table, addressable by name.
 //!
 //! | Name | Wraps | Objective | Exact | Amortized sweep |
 //! |---|---|---|---|---|
@@ -14,6 +14,12 @@
 //! | `heur_local_search` | power_greedy + [`replica_core::heuristics::local_search`] | power | — | — |
 //! | `heur_annealing` | power_greedy + [`replica_core::heuristics::annealing`] | power | — | — |
 //!
+//! Each row differs from the others only in data: its [`Capabilities`],
+//! its acceptance check (`dp_mincost` takes single-mode instances only,
+//! `exhaustive` only instances within its enumeration cap, every other
+//! row takes everything), the [`ModePolicy`] its placement is read back
+//! with, the algorithm, and the amortized frontier where it has one.
+//!
 //! `dp_power` is the dominance-*pruned* exact DP: it returns bit-equal
 //! optima to the paper's full state-vector DP while running 1–2 orders of
 //! magnitude faster in fleet runs, so it is the default. The full-state
@@ -26,75 +32,48 @@
 //! flag is therefore `false` under the stricter Eq. 4 reading the
 //! [`Capabilities`] docs define.
 //!
-//! Solvers with an amortized budget sweep (`dp_power`, `dp_power_full`,
+//! Rows with an amortized frontier (`dp_power`, `dp_power_full`,
 //! `greedy_power`, `exhaustive`) answer every cost budget from one run via
 //! [`Registry::sweep`]; the rest are adapted per budget
 //! ([`crate::sweep::sweep_via_solves`]).
 
 use crate::solver::{
-    evaluated_outcome, timed, with_thread_arena, Capabilities, EngineError, Objective,
-    SolveOptions, SolveOutcome, Solver,
+    with_thread_arena, Capabilities, EngineError, SolveOptions, SolveOutcome, Solver,
 };
-use crate::sweep::{sweep_via_solves, BudgetSweepSolver, Frontier, SweepOutcome};
+use crate::sweep::{sweep_via_solves, Frontier, SweepOutcome};
 use replica_core::heuristics::{annealing, local_search, power_greedy};
 use replica_core::{
     dp_mincost, dp_mincost_nopre, dp_power, dp_power_pruned, exhaustive, greedy, greedy_power,
     SolveArena,
 };
-use replica_model::{Instance, ModePolicy, ModelError};
+use replica_model::{Instance, ModePolicy, ModelError, Placement};
 use replica_obs::Span;
+use std::time::Instant;
 
 /// All registered solvers, addressable by name.
 pub struct Registry {
-    solvers: Vec<Box<dyn Solver>>,
+    solvers: &'static [Solver],
 }
 
 impl Registry {
-    /// An empty registry (use [`Registry::with_all`] for the full set).
-    pub fn new() -> Self {
-        Registry {
-            solvers: Vec::new(),
-        }
-    }
-
-    /// Registers every algorithm in the workspace.
+    /// Every algorithm in the workspace.
     pub fn with_all() -> Self {
-        let mut registry = Registry::new();
-        registry.register(Box::new(GreedySolver));
-        registry.register(Box::new(MinCountDpSolver));
-        registry.register(Box::new(MinCostDpSolver));
-        registry.register(Box::new(PrunedPowerDpSolver));
-        registry.register(Box::new(FullPowerDpSolver));
-        registry.register(Box::new(GreedyPowerSolver));
-        registry.register(Box::new(ExhaustiveSolver));
-        registry.register(Box::new(PowerGreedySolver));
-        registry.register(Box::new(LocalSearchSolver));
-        registry.register(Box::new(AnnealingSolver));
-        registry
-    }
-
-    /// Adds a solver. Replaces any existing solver of the same name.
-    pub fn register(&mut self, solver: Box<dyn Solver>) {
-        self.solvers.retain(|s| s.name() != solver.name());
-        self.solvers.push(solver);
+        Registry { solvers: &SOLVERS }
     }
 
     /// Looks a solver up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn Solver> {
-        self.solvers
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| s.as_ref())
+    pub fn get(&self, name: &str) -> Option<&Solver> {
+        self.solvers.iter().find(|s| s.name == name)
     }
 
-    /// Registered names, in registration order.
+    /// Registered names, in table order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.solvers.iter().map(|s| s.name()).collect()
+        self.solvers.iter().map(|s| s.name).collect()
     }
 
     /// Iterates over the registered solvers.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Solver> {
-        self.solvers.iter().map(|s| s.as_ref())
+    pub fn iter(&self) -> impl Iterator<Item = &Solver> {
+        self.solvers.iter()
     }
 
     /// Number of registered solvers.
@@ -107,6 +86,11 @@ impl Registry {
         self.solvers.is_empty()
     }
 
+    fn lookup(&self, name: &str) -> Result<&Solver, EngineError> {
+        self.get(name)
+            .ok_or_else(|| EngineError::Unsupported(format!("no solver named {name:?}")))
+    }
+
     /// Solves `instance` with the named solver.
     pub fn solve(
         &self,
@@ -114,20 +98,18 @@ impl Registry {
         instance: &Instance,
         options: &SolveOptions,
     ) -> Result<SolveOutcome, EngineError> {
-        let solver = self
-            .get(name)
-            .ok_or_else(|| EngineError::Unsupported(format!("no solver named {name:?}")))?;
-        solver.solve(instance, options)
+        self.lookup(name)?.solve(instance, options)
     }
 
     /// Budget sweep through the named solver: the full budget → (cost,
     /// power) [`Frontier`] of one instance.
     ///
-    /// Dispatches to the solver's amortized
-    /// [`BudgetSweepSolver`] path when it has one (one algorithm run
-    /// answers every budget; `budgets` is ignored) and otherwise adapts
-    /// the plain per-solve interface with one solve per entry of
-    /// `budgets` ([`sweep_via_solves`]).
+    /// Refuses an instance the solver does not accept, through the same
+    /// check as [`Solver::solve_in`]. Then runs the solver's amortized
+    /// frontier when it has one (one algorithm run answers every budget;
+    /// `budgets` is ignored) and otherwise adapts the plain per-solve
+    /// interface with one solve per entry of `budgets`
+    /// ([`sweep_via_solves`]).
     ///
     /// ```
     /// use replica_engine::prelude::*;
@@ -154,21 +136,20 @@ impl Registry {
         options: &SolveOptions,
         budgets: &[f64],
     ) -> Result<SweepOutcome, EngineError> {
-        let solver = self
-            .get(name)
-            .ok_or_else(|| EngineError::Unsupported(format!("no solver named {name:?}")))?;
-        let (native, (result, wall)) = match solver.as_budget_sweep() {
-            Some(amortized) => (true, timed(|| amortized.sweep_frontier(instance, options))),
-            None => (
-                false,
-                timed(|| sweep_via_solves(solver, instance, options, budgets)),
-            ),
+        let solver = self.lookup(name)?;
+        solver.accept(instance)?;
+        let start = Instant::now();
+        let frontier = match solver.frontier {
+            Some(frontier) => {
+                Frontier::from_points(with_thread_arena(|arena| frontier(instance, arena))?)
+            }
+            None => sweep_via_solves(solver, instance, options, budgets)?,
         };
         Ok(SweepOutcome {
-            solver: solver.name(),
-            frontier: result?,
-            wall,
-            amortized: native,
+            solver: solver.name,
+            frontier,
+            wall: start.elapsed(),
+            amortized: solver.amortized_sweep(),
         })
     }
 }
@@ -180,541 +161,253 @@ impl Default for Registry {
 }
 
 // ---------------------------------------------------------------------------
-// Wrappers
+// The table
 // ---------------------------------------------------------------------------
 
-/// `GR` of [19] at capacity `W_M`, modes lowered to the load.
-struct GreedySolver;
-
-impl Solver for GreedySolver {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinCost,
-            multi_mode: true,
-            pre_existing: false,
-            cost_bound: false,
-            exact: false,
-            amortized_sweep: false,
-        }
-    }
-
-    // The flat layout and flow buffers come from the caller's arena, so
-    // fleet threads (which re-enter the greedy thousands of times) run
+/// Every row, in registry order.
+static SOLVERS: [Solver; 10] = [
+    // `GR` of [19] at capacity `W_M`, modes lowered to the load. The flat
+    // layout and flow buffers come from the caller's arena, so fleet
+    // threads (which re-enter the greedy thousands of times) run
     // allocation-free in steady state.
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-        _span: &Span,
-        arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| {
+    Solver {
+        name: "greedy",
+        capabilities: COUNT_OPTIMAL,
+        accepts: any_instance,
+        policy: ModePolicy::LowestFeasible,
+        algorithm: |instance, _, _, arena| {
             arena.flat.rebuild(instance.tree());
-            greedy::greedy_min_replicas_flat(
-                &arena.flat,
-                instance.max_capacity(),
-                &mut arena.greedy,
-            )
-        });
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::LowestFeasible,
-            wall,
-        )
-    }
-}
-
-/// The `O(N²)` replica-count DP of [6].
-struct MinCountDpSolver;
-
-impl Solver for MinCountDpSolver {
-    fn name(&self) -> &'static str {
-        "dp_mincost_nopre"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinCost,
-            multi_mode: true,
-            pre_existing: false,
-            cost_bound: false,
-            exact: false,
-            amortized_sweep: false,
-        }
-    }
-
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-        _span: &Span,
-        _arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) =
-            timed(|| dp_mincost_nopre::solve_min_count(instance.tree(), instance.max_capacity()));
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::LowestFeasible,
-            wall,
-        )
-    }
-}
-
-/// The `MinCost-WithPre` DP (Theorem 1); single-mode instances only.
-struct MinCostDpSolver;
-
-impl Solver for MinCostDpSolver {
-    fn name(&self) -> &'static str {
-        "dp_mincost"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinCost,
-            multi_mode: false,
-            pre_existing: true,
+            let capacity = instance.max_capacity();
+            greedy::greedy_min_replicas_flat(&arena.flat, capacity, &mut arena.greedy)
+                .map(|s| s.placement)
+        },
+        frontier: None,
+    },
+    // The `O(N²)` replica-count DP of [6].
+    Solver {
+        name: "dp_mincost_nopre",
+        capabilities: COUNT_OPTIMAL,
+        accepts: any_instance,
+        policy: ModePolicy::LowestFeasible,
+        algorithm: |instance, _, _, _| {
+            dp_mincost_nopre::solve_min_count(instance.tree(), instance.max_capacity())
+                .map(|s| s.placement)
+        },
+        frontier: None,
+    },
+    // The `MinCost-WithPre` DP (Theorem 1); single-mode instances only.
+    Solver {
+        name: "dp_mincost",
+        capabilities: Capabilities {
             cost_bound: false,
             exact: true,
-            amortized_sweep: false,
-        }
-    }
-
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-        _span: &Span,
-        _arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        if instance.mode_count() != 1 {
-            return Err(EngineError::Unsupported(
-                "dp_mincost is the single-mode Theorem 1 DP; use dp_power for modes".into(),
-            ));
-        }
-        let (result, wall) = timed(|| dp_mincost::solve_min_cost(instance));
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
-    }
-}
-
-/// The full state-vector `MinPower-BoundedCost` DP (Theorem 3), kept as
-/// the cross-check against the default pruned reformulation.
-struct FullPowerDpSolver;
-
-impl Solver for FullPowerDpSolver {
-    fn name(&self) -> &'static str {
-        "dp_power_full"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: true,
-            cost_bound: true,
-            exact: true,
-            amortized_sweep: true,
-        }
-    }
-
-    // Untraced solves pass a disabled span through this same body, so the
-    // phases always run identically and tracing stays out-of-band by
-    // construction; arena reuse is bit-invisible (the full DP keeps its
-    // hash tables fresh per solve — see the determinism notes in
-    // `replica_core::dp_power`).
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        span: &Span,
-        arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| -> Result<_, ModelError> {
-            let dp = {
-                let _phase = span.child("phase", "dp_table");
-                dp_power::PowerDp::run_in(instance, &mut arena.full)?
-            };
-            let _phase = span.child("phase", "reconstruct");
-            let outcome = match dp.best_within(options.cost_bound) {
-                Some(best) => dp.reconstruct(best),
-                None => Err(ModelError::Infeasible(format!(
-                    "no placement fits the cost bound {}",
-                    options.cost_bound
-                ))),
-            };
-            dp.recycle(&mut arena.full);
-            outcome
-        });
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
-    }
-
-    fn as_budget_sweep(&self) -> Option<&dyn BudgetSweepSolver> {
-        Some(self)
-    }
-}
-
-impl BudgetSweepSolver for FullPowerDpSolver {
-    fn sweep_frontier(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-    ) -> Result<Frontier, EngineError> {
-        with_thread_arena(|arena| {
-            let dp = dp_power::PowerDp::run_in(instance, &mut arena.full)?;
-            let points = dp.cost_power_points();
-            dp.recycle(&mut arena.full);
-            Ok(Frontier::from_points(points))
-        })
-    }
-}
-
-/// The dominance-pruned exact power DP (beyond the paper) — the default
-/// `dp_power`: bit-equal optima, 1–2 orders of magnitude faster in fleet
-/// runs than the full-state formulation.
-struct PrunedPowerDpSolver;
-
-impl Solver for PrunedPowerDpSolver {
-    fn name(&self) -> &'static str {
-        "dp_power"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: true,
-            cost_bound: true,
-            exact: true,
-            amortized_sweep: true,
-        }
-    }
-
-    // Phases and arena as in `FullPowerDpSolver`.
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        span: &Span,
-        arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| -> Result<_, ModelError> {
-            let dp = {
-                let _phase = span.child("phase", "dp_table");
-                dp_power_pruned::PrunedPowerDp::run_in(instance, &mut arena.pruned)?
-            };
-            let _phase = span.child("phase", "reconstruct");
-            let outcome = match dp.best_within(options.cost_bound).copied() {
-                Some(best) => dp.reconstruct(&best),
-                None => Err(ModelError::Infeasible(format!(
-                    "no placement fits the cost bound {}",
-                    options.cost_bound
-                ))),
-            };
-            dp.recycle(&mut arena.pruned);
-            outcome
-        });
-        evaluated_outcome(self.name(), instance, &result?, ModePolicy::Assigned, wall)
-    }
-
-    fn as_budget_sweep(&self) -> Option<&dyn BudgetSweepSolver> {
-        Some(self)
-    }
-}
-
-impl BudgetSweepSolver for PrunedPowerDpSolver {
-    fn sweep_frontier(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-    ) -> Result<Frontier, EngineError> {
-        with_thread_arena(|arena| {
+        },
+        accepts: single_mode,
+        policy: ModePolicy::Assigned,
+        algorithm: |instance, _, _, _| dp_mincost::solve_min_cost(instance).map(|s| s.placement),
+        frontier: None,
+    },
+    // The dominance-pruned exact power DP (beyond the paper), the default:
+    // bit-equal optima, 1–2 orders of magnitude faster in fleet runs than
+    // the full-state formulation.
+    Solver {
+        name: "dp_power",
+        capabilities: EXACT_POWER,
+        accepts: any_instance,
+        policy: ModePolicy::Assigned,
+        algorithm: pruned_power_dp,
+        frontier: Some(|instance, arena| {
             let dp = dp_power_pruned::PrunedPowerDp::run_in(instance, &mut arena.pruned)?;
             let points = dp.cost_power_points();
             dp.recycle(&mut arena.pruned);
-            Ok(Frontier::from_points(points))
-        })
-    }
-}
-
-/// The §5.2 baseline: `GR` swept over trial capacities, best power kept.
-struct GreedyPowerSolver;
-
-impl Solver for GreedyPowerSolver {
-    fn name(&self) -> &'static str {
-        "greedy_power"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: false,
-            cost_bound: true,
-            exact: false,
-            amortized_sweep: true,
-        }
-    }
-
+            Ok(points)
+        }),
+    },
+    // The full state-vector `MinPower-BoundedCost` DP (Theorem 3), kept as
+    // the cross-check against the default pruned reformulation.
+    Solver {
+        name: "dp_power_full",
+        capabilities: EXACT_POWER,
+        accepts: any_instance,
+        policy: ModePolicy::Assigned,
+        algorithm: full_power_dp,
+        frontier: Some(|instance, arena| {
+            let dp = dp_power::PowerDp::run_in(instance, &mut arena.full)?;
+            let points = dp.cost_power_points();
+            dp.recycle(&mut arena.full);
+            Ok(points)
+        }),
+    },
+    // The §5.2 baseline: `GR` swept over trial capacities, best power kept.
     // The whole `W₁..=W_M` sweep shares one flat layout and one set of
-    // greedy buffers from the caller's arena.
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        _span: &Span,
-        arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| greedy_power::solve_in(instance, options.cost_bound, arena));
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
-    }
-
-    fn as_budget_sweep(&self) -> Option<&dyn BudgetSweepSolver> {
-        Some(self)
-    }
-}
-
-impl BudgetSweepSolver for GreedyPowerSolver {
-    fn sweep_frontier(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-    ) -> Result<Frontier, EngineError> {
-        // The capacity sweep is computed once; every budget filters the
-        // same handful of points. An instance no trial capacity can serve
-        // yields an empty frontier, not an error (matching the paper's
-        // "value 0 when the algorithm fails" convention).
-        let points = with_thread_arena(|arena| greedy_power::paper_sweep_in(instance, arena))
-            .into_iter()
-            .map(|p| (p.cost, p.power))
-            .collect();
-        Ok(Frontier::from_points(points))
-    }
-}
-
-/// The exhaustive oracle (refuses instances beyond its enumeration cap).
-struct ExhaustiveSolver;
-
-impl Solver for ExhaustiveSolver {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: true,
-            cost_bound: true,
-            exact: true,
-            amortized_sweep: true,
-        }
-    }
-
-    fn supports(&self, instance: &Instance) -> bool {
-        let combos = (instance.mode_count() as u128 + 1)
-            .checked_pow(instance.tree().internal_count() as u32)
-            .unwrap_or(u128::MAX);
-        combos <= exhaustive::MAX_COMBINATIONS
-    }
-
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        _span: &Span,
-        _arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        if !self.supports(instance) {
-            return Err(EngineError::Unsupported(format!(
-                "instance too large for exhaustive enumeration (> {} combinations)",
-                exhaustive::MAX_COMBINATIONS
-            )));
-        }
-        let (result, wall) = timed(|| exhaustive::min_power_bounded(instance, options.cost_bound));
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
-    }
-
-    fn as_budget_sweep(&self) -> Option<&dyn BudgetSweepSolver> {
-        Some(self)
-    }
-}
-
-impl BudgetSweepSolver for ExhaustiveSolver {
-    fn sweep_frontier(
-        &self,
-        instance: &Instance,
-        _options: &SolveOptions,
-    ) -> Result<Frontier, EngineError> {
-        if !self.supports(instance) {
-            return Err(EngineError::Unsupported(format!(
-                "instance too large for exhaustive enumeration (> {} combinations)",
-                exhaustive::MAX_COMBINATIONS
-            )));
-        }
-        Ok(Frontier::from_points(exhaustive::pareto(instance)))
-    }
-}
-
-/// The §6 constructive fill-threshold heuristic.
-struct PowerGreedySolver;
-
-impl Solver for PowerGreedySolver {
-    fn name(&self) -> &'static str {
-        "heur_power_greedy"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: true,
-            cost_bound: true,
-            exact: false,
-            amortized_sweep: false,
-        }
-    }
-
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        _span: &Span,
-        _arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| power_greedy::solve(instance, options.cost_bound));
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
-    }
-}
-
-/// Constructive heuristic polished by first-improvement hill climbing.
-struct LocalSearchSolver;
-
-impl Solver for LocalSearchSolver {
-    fn name(&self) -> &'static str {
-        "heur_local_search"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: true,
-            cost_bound: true,
-            exact: false,
-            amortized_sweep: false,
-        }
-    }
-
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        _span: &Span,
-        _arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| -> Result<_, ModelError> {
+    // greedy buffers from the caller's arena. Its frontier computes the
+    // capacity sweep once; an instance no trial capacity can serve yields
+    // an empty frontier, not an error (matching the paper's "value 0 when
+    // the algorithm fails" convention).
+    Solver {
+        name: "greedy_power",
+        capabilities: HEURISTIC_POWER,
+        accepts: any_instance,
+        policy: ModePolicy::Assigned,
+        algorithm: |instance, options, _, arena| {
+            greedy_power::solve_in(instance, options.cost_bound, arena).map(|s| s.placement)
+        },
+        frontier: Some(|instance, arena| {
+            let sweep = greedy_power::paper_sweep_in(instance, arena);
+            Ok(sweep.into_iter().map(|p| (p.cost, p.power)).collect())
+        }),
+    },
+    // The exhaustive oracle.
+    Solver {
+        name: "exhaustive",
+        capabilities: EXACT_POWER,
+        accepts: within_enumeration_cap,
+        policy: ModePolicy::Assigned,
+        algorithm: |instance, options, _, _| {
+            exhaustive::min_power_bounded(instance, options.cost_bound).map(|s| s.placement)
+        },
+        frontier: Some(|instance, _| Ok(exhaustive::pareto(instance))),
+    },
+    // The §6 constructive fill-threshold heuristic.
+    Solver {
+        name: "heur_power_greedy",
+        capabilities: HEURISTIC_POWER,
+        accepts: any_instance,
+        policy: ModePolicy::Assigned,
+        algorithm: |instance, options, _, _| {
+            power_greedy::solve(instance, options.cost_bound).map(|s| s.placement)
+        },
+        frontier: None,
+    },
+    // The constructive heuristic polished by first-improvement hill
+    // climbing.
+    Solver {
+        name: "heur_local_search",
+        capabilities: HEURISTIC_POWER,
+        accepts: any_instance,
+        policy: ModePolicy::Assigned,
+        algorithm: |instance, options, _, _| {
             let seed = power_greedy::solve(instance, options.cost_bound)?;
-            local_search::solve(
-                instance,
-                &seed.placement,
-                options.cost_bound,
-                local_search::LocalSearchOptions::default(),
-            )
-        });
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
+            let polish = local_search::LocalSearchOptions::default();
+            local_search::solve(instance, &seed.placement, options.cost_bound, polish)
+                .map(|s| s.placement)
+        },
+        frontier: None,
+    },
+    // The constructive heuristic polished by seeded simulated annealing.
+    Solver {
+        name: "heur_annealing",
+        capabilities: HEURISTIC_POWER,
+        accepts: any_instance,
+        policy: ModePolicy::Assigned,
+        algorithm: |instance, options, _, _| {
+            let seed = power_greedy::solve(instance, options.cost_bound)?;
+            let polish = annealing::AnnealingOptions {
+                iterations: 5_000,
+                seed: options.seed,
+                ..Default::default()
+            };
+            annealing::solve(instance, &seed.placement, options.cost_bound, polish)
+                .map(|s| s.placement)
+        },
+        frontier: None,
+    },
+];
+
+/// A replica-count minimizer: exact for the classical `MinCost`, not for
+/// Eq. 4, and blind to the cost bound.
+const COUNT_OPTIMAL: Capabilities = Capabilities {
+    cost_bound: false,
+    exact: false,
+};
+
+/// An exact `MinPower-BoundedCost` solver.
+const EXACT_POWER: Capabilities = Capabilities {
+    cost_bound: true,
+    exact: true,
+};
+
+/// A power heuristic that honors the cost bound.
+const HEURISTIC_POWER: Capabilities = Capabilities {
+    cost_bound: true,
+    exact: false,
+};
+
+fn any_instance(_: &Instance) -> Result<(), String> {
+    Ok(())
+}
+
+fn single_mode(instance: &Instance) -> Result<(), String> {
+    if instance.mode_count() == 1 {
+        Ok(())
+    } else {
+        Err("dp_mincost is the single-mode Theorem 1 DP; use dp_power for modes".into())
     }
 }
 
-/// Constructive heuristic polished by seeded simulated annealing.
-struct AnnealingSolver;
-
-impl Solver for AnnealingSolver {
-    fn name(&self) -> &'static str {
-        "heur_annealing"
+/// The oracle refuses instances whose `(M + 1)^internal` placements it
+/// could not enumerate.
+fn within_enumeration_cap(instance: &Instance) -> Result<(), String> {
+    let combos = (instance.mode_count() as u128 + 1)
+        .checked_pow(instance.tree().internal_count() as u32)
+        .unwrap_or(u128::MAX);
+    if combos <= exhaustive::MAX_COMBINATIONS {
+        Ok(())
+    } else {
+        Err(format!(
+            "instance too large for exhaustive enumeration (> {} combinations)",
+            exhaustive::MAX_COMBINATIONS
+        ))
     }
+}
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            objective: Objective::MinPower,
-            multi_mode: true,
-            pre_existing: true,
-            cost_bound: true,
-            exact: false,
-            amortized_sweep: false,
-        }
-    }
+// The two power DPs hang their phase spans off the solve span. Untraced
+// solves pass a disabled span through the same body, so the phases always
+// run identically and tracing stays out-of-band by construction.
 
-    fn solve_in(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-        _span: &Span,
-        _arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError> {
-        let (result, wall) = timed(|| -> Result<_, ModelError> {
-            let seed = power_greedy::solve(instance, options.cost_bound)?;
-            annealing::solve(
-                instance,
-                &seed.placement,
-                options.cost_bound,
-                annealing::AnnealingOptions {
-                    iterations: 5_000,
-                    seed: options.seed,
-                    ..Default::default()
-                },
-            )
-        });
-        evaluated_outcome(
-            self.name(),
-            instance,
-            &result?.placement,
-            ModePolicy::Assigned,
-            wall,
-        )
-    }
+fn pruned_power_dp(
+    instance: &Instance,
+    options: &SolveOptions,
+    span: &Span,
+    arena: &mut SolveArena,
+) -> Result<Placement, ModelError> {
+    let dp = {
+        let _phase = span.child("phase", "dp_table");
+        dp_power_pruned::PrunedPowerDp::run_in(instance, &mut arena.pruned)?
+    };
+    let _phase = span.child("phase", "reconstruct");
+    let outcome = match dp.best_within(options.cost_bound).copied() {
+        Some(best) => dp.reconstruct(&best),
+        None => Err(no_fit(options.cost_bound)),
+    };
+    dp.recycle(&mut arena.pruned);
+    outcome
+}
+
+/// Arena reuse is bit-invisible here too: the full DP keeps its hash
+/// tables fresh per solve (see the determinism notes in
+/// `replica_core::dp_power`).
+fn full_power_dp(
+    instance: &Instance,
+    options: &SolveOptions,
+    span: &Span,
+    arena: &mut SolveArena,
+) -> Result<Placement, ModelError> {
+    let dp = {
+        let _phase = span.child("phase", "dp_table");
+        dp_power::PowerDp::run_in(instance, &mut arena.full)?
+    };
+    let _phase = span.child("phase", "reconstruct");
+    let outcome = match dp.best_within(options.cost_bound) {
+        Some(best) => dp.reconstruct(best).map(|s| s.placement),
+        None => Err(no_fit(options.cost_bound)),
+    };
+    dp.recycle(&mut arena.full);
+    outcome
+}
+
+fn no_fit(cost_bound: f64) -> ModelError {
+    ModelError::Infeasible(format!("no placement fits the cost bound {cost_bound}"))
 }
 
 #[cfg(test)]
@@ -802,29 +495,15 @@ mod tests {
     }
 
     #[test]
-    fn registration_replaces_same_name() {
-        let mut registry = Registry::with_all();
-        let before = registry.len();
-        registry.register(Box::new(GreedySolver));
-        assert_eq!(registry.len(), before);
-    }
-
-    #[test]
-    fn sweep_capability_flag_agrees_with_the_sweep_hook() {
-        let registry = Registry::with_all();
-        let mut amortized = 0usize;
-        for solver in registry.iter() {
-            assert_eq!(
-                solver.capabilities().amortized_sweep,
-                solver.as_budget_sweep().is_some(),
-                "{}: amortized_sweep flag out of sync",
-                solver.name()
-            );
-            amortized += solver.capabilities().amortized_sweep as usize;
-        }
+    fn amortized_rows_are_the_dps_the_gr_sweep_and_the_oracle() {
+        let amortized: Vec<&str> = Registry::with_all()
+            .iter()
+            .filter(|s| s.amortized_sweep())
+            .map(|s| s.name())
+            .collect();
         assert_eq!(
-            amortized, 4,
-            "dp_power, dp_power_full, greedy_power, exhaustive"
+            amortized,
+            ["dp_power", "dp_power_full", "greedy_power", "exhaustive"]
         );
     }
 

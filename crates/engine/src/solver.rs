@@ -1,5 +1,4 @@
-//! The uniform [`Solver`] interface every algorithm in the workspace is
-//! wrapped behind.
+//! The [`Solver`] row every algorithm in the workspace is wrapped as.
 //!
 //! A solver consumes a [`replica_model::Instance`] plus [`SolveOptions`]
 //! and yields a [`SolveOutcome`]: a placement together with its cost,
@@ -9,14 +8,17 @@
 //! Eq. 2/3/4 semantics, so outcomes from different algorithms are always
 //! comparable (and a lying solver is caught immediately).
 //!
-//! [`Capabilities`] describe what an algorithm can consume — multi-mode
-//! instances, pre-existing servers, a cost budget — and whether its result
-//! is provably optimal for its [`Objective`]. The fleet runner and the
-//! cross-validation suite use these flags to decide which instances a
-//! solver may be asked to solve and how strictly to judge the answer.
+//! A [`Solver`] is data, not a trait: a name, its [`Capabilities`], one
+//! acceptance check, the [`ModePolicy`] its placement is read back with,
+//! the algorithm itself and, where one run answers every budget, an
+//! amortized frontier. [`Solver::solve_in`] is written once for all of
+//! them — refuse, time the algorithm, re-evaluate — so the rule "every
+//! outcome is timed around the algorithm and scored by the model" holds
+//! by construction. The rows themselves live in [`crate::registry`].
 
 use replica_core::SolveArena;
 use replica_model::{Instance, ModePolicy, ModelError, Placement, Solution};
+use replica_obs::Span;
 use std::cell::RefCell;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -42,36 +44,16 @@ pub fn with_thread_arena<T>(f: impl FnOnce(&mut SolveArena) -> T) -> T {
     })
 }
 
-/// What a solver optimizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Objective {
-    /// Minimize Eq. 2 / Eq. 4 reconfiguration cost (replica count in the
-    /// classical setting).
-    MinCost,
-    /// Minimize Eq. 3 power, subject to [`SolveOptions::cost_bound`].
-    MinPower,
-}
-
-/// Static description of what an algorithm supports.
+/// What an algorithm guarantees about its answer.
 #[derive(Clone, Copy, Debug)]
 pub struct Capabilities {
-    /// The objective the solver optimizes.
-    pub objective: Objective,
-    /// Handles instances with more than one server mode (`M > 1`).
-    pub multi_mode: bool,
-    /// *Exploits* pre-existing servers (a `false` here means the solver
-    /// tolerates them but optimizes as if `E = ∅`, like the oblivious
-    /// `GR` baseline).
-    pub pre_existing: bool,
     /// Honors [`SolveOptions::cost_bound`].
     pub cost_bound: bool,
-    /// Provably optimal for [`Self::objective`] on every instance whose
-    /// features it supports.
+    /// Provably optimal on every instance it accepts: Eq. 4 cost for a
+    /// cost solver (a replica-count optimum alone does not qualify once
+    /// pre-existing servers exist), Eq. 3 power within the cost bound for
+    /// a power solver.
     pub exact: bool,
-    /// Has an amortized budget-sweep path: one run answers every cost
-    /// budget (see [`crate::sweep::BudgetSweepSolver`]). Must agree with
-    /// [`Solver::as_budget_sweep`] returning `Some`.
-    pub amortized_sweep: bool,
 }
 
 /// Per-solve knobs shared by every solver.
@@ -127,8 +109,9 @@ pub struct SolveOutcome {
 /// Why a solve produced no outcome.
 #[derive(Clone, Debug)]
 pub enum EngineError {
-    /// The instance uses a feature outside the solver's [`Capabilities`]
-    /// (e.g. multiple modes handed to the single-mode `MinCost` DP).
+    /// The solver's acceptance check refused the instance (e.g. multiple
+    /// modes handed to the single-mode `MinCost` DP), or no solver has the
+    /// requested name.
     Unsupported(String),
     /// The underlying algorithm failed (usually infeasibility).
     Solver(ModelError),
@@ -151,20 +134,70 @@ impl From<ModelError> for EngineError {
     }
 }
 
-/// The uniform algorithm interface.
-pub trait Solver: Send + Sync {
-    /// Stable registry name (e.g. `"dp_power"`).
-    fn name(&self) -> &'static str;
+/// An algorithm run: the placement it found, before re-evaluation.
+pub(crate) type Algorithm =
+    fn(&Instance, &SolveOptions, &Span, &mut SolveArena) -> Result<Placement, ModelError>;
 
-    /// What this solver supports.
-    fn capabilities(&self) -> Capabilities;
+/// An amortized budget sweep: every achievable `(cost, power)` point
+/// from one run. An error means the instance itself is infeasible, not
+/// that some budget is too tight.
+pub(crate) type AmortizedFrontier =
+    fn(&Instance, &mut SolveArena) -> Result<Vec<(f64, f64)>, ModelError>;
+
+/// One algorithm of the [`Registry`](crate::registry::Registry): a row of
+/// data that [`Solver::solve_in`] turns into a timed, model-scored
+/// [`SolveOutcome`].
+pub struct Solver {
+    pub(crate) name: &'static str,
+    pub(crate) capabilities: Capabilities,
+    /// Refuses an instance outside the algorithm's reach, with the reason.
+    pub(crate) accepts: fn(&Instance) -> Result<(), String>,
+    /// How the placement's modes are read back when re-evaluating.
+    pub(crate) policy: ModePolicy,
+    pub(crate) algorithm: Algorithm,
+    /// One run answering every cost budget, when the algorithm has one.
+    pub(crate) frontier: Option<AmortizedFrontier>,
+}
+
+impl Solver {
+    /// Stable registry name (e.g. `"dp_power"`).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// What this solver guarantees.
+    pub fn capabilities(&self) -> Capabilities {
+        self.capabilities
+    }
+
+    /// Whether `instance` is within this solver's reach.
+    pub fn supports(&self, instance: &Instance) -> bool {
+        (self.accepts)(instance).is_ok()
+    }
+
+    /// Whether one run answers every cost budget
+    /// ([`Registry::sweep`](crate::registry::Registry::sweep) then takes
+    /// the amortized path).
+    pub fn amortized_sweep(&self) -> bool {
+        self.frontier.is_some()
+    }
+
+    /// The acceptance check as an engine error: the one gate in front of
+    /// both [`Solver::solve_in`] and the registry's budget sweep.
+    pub(crate) fn accept(&self, instance: &Instance) -> Result<(), EngineError> {
+        (self.accepts)(instance).map_err(EngineError::Unsupported)
+    }
 
     /// Solves one instance under an open telemetry span, with
-    /// caller-provided working memory — the one entry point every solver
-    /// implements.
+    /// caller-provided working memory.
     ///
-    /// Phase-aware solvers (the DP wrappers) hang `phase` sub-spans — DP
-    /// table build, reconstruction — off `span`; the rest ignore it. The
+    /// Refuses an instance the row does not accept, times the algorithm
+    /// alone (arena rebuild and recycling included, re-evaluation
+    /// excluded) and re-evaluates its placement under the row's
+    /// [`ModePolicy`].
+    ///
+    /// Phase-aware algorithms (the two power DPs) hang `phase` sub-spans —
+    /// DP table build, reconstruction — off `span`; the rest ignore it. The
     /// outcome may not depend on the span in any way: tracing is strictly
     /// out-of-band (the trace-invariance proptest pins this through the
     /// fleet). The fleet runner passes one [`SolveArena`] per worker thread
@@ -173,66 +206,36 @@ pub trait Solver: Send + Sync {
     /// solvers without scratch ignore it. Arena reuse must be
     /// *bit-invisible* (the equivalence batteries in `replica-core` pin
     /// this through arbitrary reuse sequences).
-    fn solve_in(
+    pub fn solve_in(
         &self,
         instance: &Instance,
         options: &SolveOptions,
-        span: &replica_obs::Span,
+        span: &Span,
         arena: &mut SolveArena,
-    ) -> Result<SolveOutcome, EngineError>;
+    ) -> Result<SolveOutcome, EngineError> {
+        self.accept(instance)?;
+        let start = Instant::now();
+        let placement = (self.algorithm)(instance, options, span, arena);
+        let wall = start.elapsed();
+        let solution = Solution::evaluate_with_policy(instance, &placement?, self.policy)?;
+        Ok(SolveOutcome {
+            solver: self.name,
+            servers: solution.counts.total_servers(),
+            reused: solution.counts.reused_total(),
+            placement: solution.placement,
+            cost: solution.cost,
+            power: solution.power,
+            wall,
+        })
+    }
 
     /// Solves one instance: [`Solver::solve_in`] with this thread's arena
     /// and a disabled span.
-    fn solve(
+    pub fn solve(
         &self,
         instance: &Instance,
         options: &SolveOptions,
     ) -> Result<SolveOutcome, EngineError> {
-        with_thread_arena(|arena| {
-            self.solve_in(instance, options, &replica_obs::Span::disabled(), arena)
-        })
+        with_thread_arena(|arena| self.solve_in(instance, options, &Span::disabled(), arena))
     }
-
-    /// Whether `instance` is within this solver's capabilities.
-    fn supports(&self, instance: &Instance) -> bool {
-        let caps = self.capabilities();
-        caps.multi_mode || instance.mode_count() == 1
-    }
-
-    /// The amortized budget-sweep view of this solver, when it has one.
-    ///
-    /// `None` (the default) means the registry's sweep entry point falls
-    /// back to one [`Solver::solve`] per requested budget
-    /// ([`crate::sweep::sweep_via_solves`]).
-    fn as_budget_sweep(&self) -> Option<&dyn crate::sweep::BudgetSweepSolver> {
-        None
-    }
-}
-
-/// Builds a [`SolveOutcome`] by re-evaluating `placement` against the
-/// model semantics (the single funnel every wrapper goes through).
-pub fn evaluated_outcome(
-    solver: &'static str,
-    instance: &Instance,
-    placement: &Placement,
-    policy: ModePolicy,
-    wall: Duration,
-) -> Result<SolveOutcome, EngineError> {
-    let solution = Solution::evaluate_with_policy(instance, placement, policy)?;
-    Ok(SolveOutcome {
-        solver,
-        placement: solution.placement.clone(),
-        cost: solution.cost,
-        power: solution.power,
-        servers: solution.counts.total_servers(),
-        reused: solution.counts.reused_total(),
-        wall,
-    })
-}
-
-/// Runs `f`, returning its result together with its wall-clock time.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed())
 }

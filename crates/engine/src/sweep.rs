@@ -11,13 +11,13 @@
 //!
 //! This module closes that gap at the registry level:
 //!
-//! * solvers with an amortized path implement [`BudgetSweepSolver`] and
-//!   advertise it via [`Solver::as_budget_sweep`] (and the
-//!   `amortized_sweep` capability flag);
-//! * [`Registry::sweep`](crate::registry::Registry::sweep) dispatches to
-//!   the native implementation when one exists and otherwise falls back
-//!   to [`sweep_via_solves`] — one plain solve per requested budget — so
-//!   *every* registered solver answers the same question through one API.
+//! * a [`Solver`] row with an amortized path carries it as its frontier
+//!   function, reported by [`Solver::amortized_sweep`];
+//! * [`Registry::sweep`](crate::registry::Registry::sweep) runs the row's
+//!   acceptance check, then its frontier when it has one, and otherwise
+//!   falls back to [`sweep_via_solves`] — one plain solve per requested
+//!   budget — so *every* registered solver answers the same question
+//!   through one API.
 //!
 //! Frontier extraction itself lives in [`replica_core::frontier`]; the
 //! engine prunes with `epsilon = 0.0`, which preserves the best-within-
@@ -98,20 +98,6 @@ impl Frontier {
     }
 }
 
-/// A solver with an amortized budget-sweep path: one run per instance
-/// yields the full [`Frontier`].
-pub trait BudgetSweepSolver: Solver {
-    /// Runs the algorithm once and returns every achievable `(cost,
-    /// power)` trade-off. An error means the instance itself is
-    /// infeasible (or unsupported), not that some budget is too tight —
-    /// tight budgets simply have no frontier point within them.
-    fn sweep_frontier(
-        &self,
-        instance: &Instance,
-        options: &SolveOptions,
-    ) -> Result<Frontier, EngineError>;
-}
-
 /// The outcome of a registry-level budget sweep.
 #[derive(Clone, Debug)]
 pub struct SweepOutcome {
@@ -122,7 +108,7 @@ pub struct SweepOutcome {
     /// Wall-clock time of the whole sweep (one amortized run, or the sum
     /// of the per-budget fallback solves).
     pub wall: Duration,
-    /// `true` when the native amortized path produced the frontier,
+    /// `true` when the solver's amortized frontier produced it,
     /// `false` for the per-budget fallback adapter.
     pub amortized: bool,
 }
@@ -135,7 +121,7 @@ pub struct SweepOutcome {
 /// identical computation. An `Err` is returned only when *no* budget
 /// admits a solution; the error of the loosest budget is reported.
 pub fn sweep_via_solves(
-    solver: &dyn Solver,
+    solver: &Solver,
     instance: &Instance,
     options: &SolveOptions,
     budgets: &[f64],

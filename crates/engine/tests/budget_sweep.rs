@@ -5,12 +5,14 @@
 //! * the amortized frontier answers every budget exactly like independent
 //!   per-budget solves through the plain [`Solver`] interface;
 //! * the generic fallback adapter agrees with the amortized path on the
-//!   solvers that have both.
+//!   solvers that have both;
+//! * one acceptance check guards both entry points: an instance a solver
+//!   refuses is refused by a plain solve and by a sweep alike.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use replica_engine::{Registry, SolveOptions};
+use replica_engine::{EngineError, Registry, SolveOptions};
 use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting};
 use replica_tree::{generate, GeneratorConfig};
 
@@ -171,5 +173,40 @@ fn exact_sweepers_share_one_frontier_and_dominate_the_greedy() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn refused_instances_are_refused_by_solve_and_sweep_alike() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let config = GeneratorConfig {
+        internal_nodes: 30,
+        children_range: (1, 3),
+        client_probability: 0.9,
+        requests_range: (1, 4),
+    };
+    let tree = generate::random_tree(&config, &mut rng);
+    assert_eq!(tree.internal_count(), 30);
+    // Two modes over 30 nodes: 3^30 placements, far above the oracle's
+    // enumeration cap, and more than one mode for the Theorem 1 DP.
+    let instance = Instance::builder(tree)
+        .power(PowerModel::new(1.0, 2.0))
+        .modes(ModeSet::new(vec![3, 6]).unwrap())
+        .build()
+        .unwrap();
+    let registry = Registry::with_all();
+    let options = SolveOptions::default();
+    for name in ["exhaustive", "dp_mincost"] {
+        assert!(!registry.get(name).unwrap().supports(&instance), "{name}");
+        let solved = registry.solve(name, &instance, &options);
+        assert!(
+            matches!(solved, Err(EngineError::Unsupported(_))),
+            "{name}: solve gave {solved:?}"
+        );
+        let swept = registry.sweep(name, &instance, &options, &[1.0, 10.0]);
+        assert!(
+            matches!(swept, Err(EngineError::Unsupported(_))),
+            "{name}: sweep gave {swept:?}"
+        );
     }
 }

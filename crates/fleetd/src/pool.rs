@@ -31,6 +31,11 @@ use crate::error::FleetdError;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Per-call suffix of claim temp files: claimer threads of one process
+/// share its pid, so the pid alone does not keep their temp files apart.
+static CLAIM_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The ownership record one claimer publishes for one shard attempt.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,11 +102,13 @@ pub fn try_claim(dir: &Path, record: &ClaimRecord) -> Result<bool, FleetdError> 
     };
     let json =
         serde_json::to_string(record).map_err(|e| io(&path, format!("serializing claim: {e}")))?;
+    // `Relaxed`: the counter only has to hand out distinct values.
     let tmp = dir.join(format!(
-        "shard-{}.a{}.claim.{}.tmp",
+        "shard-{}.a{}.claim.{}.{}.tmp",
         record.shard,
         record.attempt,
-        std::process::id()
+        std::process::id(),
+        CLAIM_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     fs::write(&tmp, json).map_err(|e| io(&tmp, format!("cannot write claim temp: {e}")))?;
     let won = match fs::hard_link(&tmp, &path) {
@@ -178,21 +185,30 @@ mod tests {
     #[test]
     fn racing_claimers_produce_exactly_one_winner() {
         let dir = pool_dir("race");
-        let winners: usize = std::thread::scope(|scope| {
-            (0..8)
-                .map(|slot| {
-                    let dir = dir.clone();
-                    scope.spawn(move || {
-                        try_claim(&dir, &ClaimRecord::new(0, 0, format!("slot-{slot}"))).unwrap()
-                            as usize
+        // The barrier releases all 8 claimers at once, so every attempt
+        // generation is a real race, not a likely one.
+        for attempt in 0..32 {
+            let start = std::sync::Barrier::new(8);
+            let winners: usize = std::thread::scope(|scope| {
+                (0..8)
+                    .map(|slot| {
+                        let (dir, start) = (&dir, &start);
+                        scope.spawn(move || {
+                            let record = ClaimRecord::new(0, attempt, format!("slot-{slot}"));
+                            start.wait();
+                            try_claim(dir, &record).unwrap() as usize
+                        })
                     })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        assert_eq!(winners, 1, "exactly one of 8 racing claimers may win");
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .sum()
+            });
+            assert_eq!(
+                winners, 1,
+                "attempt {attempt}: exactly one of 8 racing claimers may win"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -15,9 +15,9 @@
 //!   (Theorem 1) and `MinPower-BoundedCost` (Theorem 3), the `GR` baselines,
 //!   the NP-completeness gadget (Theorem 2), heuristics, and an exhaustive
 //!   oracle;
-//! * [`engine`] — the unified solver subsystem: every algorithm behind one
-//!   [`Solver`](replica_engine::Solver) trait with capability flags and
-//!   per-solve timing, a name-addressable registry with an amortized
+//! * [`engine`] — the unified solver subsystem: every algorithm as one row
+//!   of a static [`Solver`](replica_engine::Solver) table, timed and
+//!   re-evaluated in one place, a name-addressable registry with an amortized
 //!   budget-sweep API ([`Registry::sweep`](replica_engine::Registry::sweep)
 //!   — one run answers every cost budget), a rayon-parallel
 //!   [`Fleet`](replica_engine::Fleet) runner with deterministic seeding
