@@ -1,11 +1,11 @@
 //! Ablations of the DP engineering choices called out in DESIGN.md:
-//! serial vs rayon-parallel table merges, forward-only vs full
+//! full-state vs Pareto-pruned tables, forward-only vs full
 //! reconstruction, and the sweep-amortization win (answering every budget
 //! from one DP run vs re-running per budget).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use replica_bench::power_instance;
-use replica_core::dp_power::{self, PowerDp, PowerDpOptions};
+use replica_core::dp_power::{self, PowerDp};
 use replica_core::dp_power_pruned::PrunedPowerDp;
 use std::hint::black_box;
 
@@ -33,39 +33,6 @@ fn bench_state_vs_pruned(c: &mut Criterion) {
             &instance,
             |b, inst| b.iter(|| black_box(PrunedPowerDp::run(inst).unwrap().candidates().len())),
         );
-    }
-    group.finish();
-}
-
-fn bench_merge_parallelism(c: &mut Criterion) {
-    let mut group = c.benchmark_group("merge_parallelism");
-    group.sample_size(10);
-    for nodes in [60usize, 120] {
-        let instance = power_instance(11, nodes, 6);
-        group.bench_with_input(BenchmarkId::new("serial", nodes), &instance, |b, inst| {
-            b.iter(|| {
-                let dp = PowerDp::run_with(
-                    inst,
-                    PowerDpOptions {
-                        parallel_merge: false,
-                    },
-                )
-                .unwrap();
-                black_box(dp.candidates().len())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", nodes), &instance, |b, inst| {
-            b.iter(|| {
-                let dp = PowerDp::run_with(
-                    inst,
-                    PowerDpOptions {
-                        parallel_merge: true,
-                    },
-                )
-                .unwrap();
-                black_box(dp.candidates().len())
-            })
-        });
     }
     group.finish();
 }
@@ -127,7 +94,6 @@ fn bench_budget_amortization(c: &mut Criterion) {
 criterion_group!(
     ablation,
     bench_state_vs_pruned,
-    bench_merge_parallelism,
     bench_reconstruction,
     bench_budget_amortization
 );

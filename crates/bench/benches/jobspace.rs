@@ -11,6 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use replica_bench::standard_campaign;
+use replica_engine::obs::Obs;
 use replica_engine::{Fleet, JobSpace, Registry};
 use std::hint::black_box;
 
@@ -24,20 +25,13 @@ fn bench_generation(c: &mut Criterion) {
     // The campaign comes from the declarative spec layer — the lazy
     // space and the eager list below are the two faces of one spec.
     let campaign = standard_campaign(SEED, NODES, PER_SCENARIO, ["greedy_power"]);
-    let scenarios = campaign.scenarios.clone();
     let space = campaign.space();
     let shard_len = space.len() / SHARDS;
 
     let mut group = c.benchmark_group("jobspace_generation");
     group.sample_size(10);
     group.bench_function("eager_campaign", |b| {
-        b.iter(|| {
-            black_box(Fleet::jobs_from_scenarios(
-                black_box(&scenarios),
-                SEED,
-                PER_SCENARIO,
-            ))
-        })
+        b.iter(|| black_box(black_box(&space).materialize()))
     });
     group.bench_function("lazy_shard_0_of_16", |b| {
         b.iter(|| {
@@ -51,7 +45,6 @@ fn bench_generation(c: &mut Criterion) {
 
 fn bench_worker_startup(c: &mut Criterion) {
     let campaign = standard_campaign(SEED, NODES, PER_SCENARIO, ["greedy_power"]);
-    let scenarios = campaign.scenarios.clone();
     let registry = Registry::with_all();
     let fleet = Fleet::try_new(&registry, campaign.fleet_config())
         .expect("validated campaigns configure valid fleets");
@@ -64,14 +57,14 @@ fn bench_worker_startup(c: &mut Criterion) {
     // one shard of it.
     group.bench_function("eager_generate_campaign_then_solve_shard", |b| {
         b.iter(|| {
-            let jobs = Fleet::jobs_from_scenarios(&scenarios, SEED, PER_SCENARIO);
-            black_box(fleet.run_shard(&jobs, range.clone()))
+            let jobs = space.materialize();
+            black_box(fleet.run_shard(&jobs[..], range.clone(), |_| {}, &Obs::noop(), None))
         })
     });
     // The lazy worker: generation happens inside the run, only for the
     // shard's own indices.
     group.bench_function("lazy_generate_only_shard", |b| {
-        b.iter(|| black_box(fleet.run_space_shard(&space, range.clone())))
+        b.iter(|| black_box(fleet.run_shard(&space, range.clone(), |_| {}, &Obs::noop(), None)))
     });
     group.finish();
 }

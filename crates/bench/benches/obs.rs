@@ -1,5 +1,6 @@
-//! Telemetry overhead benches: the same fleet campaign untraced, traced
-//! into memory at full `Solve` verbosity, and traced to a JSONL file.
+//! Telemetry overhead benches: the same fleet campaign untraced (the
+//! no-op `Obs` handle), traced into memory at full `Solve` verbosity,
+//! and traced to a JSONL file.
 //!
 //! The obs layer's contract is "out-of-band and nearly free": the no-op
 //! handle must cost nothing measurable, and even a real file-backed
@@ -35,15 +36,12 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(10);
     group.bench_function("untraced", |b| {
-        b.iter(|| black_box(fleet.run_space(&space)))
-    });
-    group.bench_function("noop_handle", |b| {
         let obs = Obs::noop();
-        b.iter(|| black_box(fleet.run_space_traced(&space, &obs)))
+        b.iter(|| black_box(fleet.run(&space, &obs)))
     });
     group.bench_function("memory_sink_solve_verbosity", |b| {
         let obs = Obs::new(Arc::new(MemorySink::new()), Verbosity::Solve);
-        b.iter(|| black_box(fleet.run_space_traced(&space, &obs)))
+        b.iter(|| black_box(fleet.run(&space, &obs)))
     });
     group.bench_function("jsonl_sink_solve_verbosity", |b| {
         let path = std::env::temp_dir().join(format!("obs-bench-{}.jsonl", std::process::id()));
@@ -51,7 +49,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
             Arc::new(JsonlSink::create(&path).expect("temp trace file")),
             Verbosity::Solve,
         );
-        b.iter(|| black_box(fleet.run_space_traced(&space, &obs)));
+        b.iter(|| black_box(fleet.run(&space, &obs)));
         let _ = std::fs::remove_file(&path);
     });
     group.finish();

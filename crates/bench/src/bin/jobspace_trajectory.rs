@@ -18,6 +18,7 @@
 //! directory — the repository root under `cargo run`).
 
 use replica_bench::standard_campaign;
+use replica_engine::obs::Obs;
 use replica_engine::{Fleet, JobSpace, Registry};
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,12 +51,11 @@ fn main() {
     // Built through the declarative spec layer, like every other
     // campaign in the workspace.
     let campaign = standard_campaign(SEED, NODES, PER_SCENARIO, ["greedy_power"]);
-    let scenarios = campaign.scenarios.clone();
     let space = campaign.space();
     let jobs = space.len();
     let shard_len = jobs / SHARDS;
 
-    let eager_generation = median_ms(|| Fleet::jobs_from_scenarios(&scenarios, SEED, PER_SCENARIO));
+    let eager_generation = median_ms(|| space.materialize());
     let lazy_shard_generation = median_ms(|| {
         for i in 0..shard_len {
             black_box(space.job(i));
@@ -67,14 +67,15 @@ fn main() {
         .expect("validated campaigns configure valid fleets");
     let range = 0..shard_len;
     let worker_eager = median_ms(|| {
-        let jobs = Fleet::jobs_from_scenarios(&scenarios, SEED, PER_SCENARIO);
-        fleet.run_shard(&jobs, range.clone())
+        let jobs = space.materialize();
+        fleet.run_shard(&jobs[..], range.clone(), |_| {}, &Obs::noop(), None)
     });
-    let worker_lazy = median_ms(|| fleet.run_space_shard(&space, range.clone()));
+    let worker_lazy =
+        median_ms(|| fleet.run_shard(&space, range.clone(), |_| {}, &Obs::noop(), None));
 
     let json = format!(
         "{{\n  \"bench\": \"jobspace\",\n  \"campaign\": {{ \"scenarios\": {}, \"per_scenario\": {}, \"nodes\": {}, \"jobs\": {} }},\n  \"shards\": {},\n  \"shard_jobs\": {},\n  \"eager_campaign_generation_ms\": {:.3},\n  \"lazy_shard_generation_ms\": {:.3},\n  \"generation_speedup\": {:.2},\n  \"worker_eager_ms\": {:.3},\n  \"worker_lazy_ms\": {:.3},\n  \"worker_speedup\": {:.2}\n}}\n",
-        scenarios.len(),
+        campaign.scenarios.len(),
         PER_SCENARIO,
         NODES,
         jobs,

@@ -7,7 +7,7 @@
 //! allocation-free in steady state:
 //!
 //! * [`SolveArena::flat`] — the shared [`FlatTree`] snapshot, rebuilt per
-//!   instance by sweep-style callers ([`crate::greedy_power::sweep_in`]);
+//!   instance by sweep-style callers ([`crate::greedy_power::paper_sweep`]);
 //! * [`SolveArena::greedy`] — [`GreedyScratch`] for the `GR` kernel;
 //! * [`SolveArena::pruned`] — [`PrunedScratch`] for the dominance-pruned DP
 //!   ([`crate::dp_power_pruned::PrunedPowerDp::run_in`]);

@@ -35,34 +35,19 @@ pub struct SweepPoint {
     pub servers: u64,
 }
 
-/// Runs the greedy for every trial capacity and evaluates each outcome.
+/// Runs the greedy for every trial capacity of the paper's sweep range —
+/// every integer `W` from `W₁` to `W_M` — and evaluates each outcome.
 /// Infeasible trial capacities (bundle larger than the trial `W`) are
 /// skipped.
-pub fn sweep<I: IntoIterator<Item = u64>>(
-    instance: &Instance,
-    trial_capacities: I,
-) -> Vec<SweepPoint> {
-    sweep_in(instance, trial_capacities, &mut SolveArena::default())
-}
-
-/// [`sweep`] with a caller-provided [`SolveArena`] — the fleet hot path.
 ///
-/// The flat layout is rebuilt **once** per instance and every trial
-/// capacity re-runs the allocation-free greedy kernel over it; with a
-/// per-thread arena the whole `W₁..=W_M` sweep allocates nothing in steady
-/// state beyond the returned placements.
-pub fn sweep_in<I: IntoIterator<Item = u64>>(
-    instance: &Instance,
-    trial_capacities: I,
-    arena: &mut SolveArena,
-) -> Vec<SweepPoint> {
+/// The flat layout is rebuilt **once** per instance in `arena` and every
+/// trial capacity re-runs the allocation-free greedy kernel over it; with
+/// a per-thread arena (the fleet hot path) the whole sweep allocates
+/// nothing in steady state beyond the returned placements.
+pub fn paper_sweep(instance: &Instance, arena: &mut SolveArena) -> Vec<SweepPoint> {
     let mut out = Vec::new();
     arena.flat.rebuild(instance.tree());
-    for w in trial_capacities {
-        // A trial capacity above W_M would overload the real modes; skip.
-        if w == 0 || w > instance.max_capacity() {
-            continue;
-        }
+    for w in instance.modes().capacity(0)..=instance.max_capacity() {
         let Ok(greedy) = greedy_min_replicas_flat(&arena.flat, w, &mut arena.greedy) else {
             continue;
         };
@@ -82,20 +67,6 @@ pub fn sweep_in<I: IntoIterator<Item = u64>>(
     out
 }
 
-/// The paper's sweep range: every integer capacity from `W₁` to `W_M`.
-pub fn paper_sweep(instance: &Instance) -> Vec<SweepPoint> {
-    let lo = instance.modes().capacity(0);
-    let hi = instance.max_capacity();
-    sweep(instance, lo..=hi)
-}
-
-/// [`paper_sweep`] with a caller-provided [`SolveArena`].
-pub fn paper_sweep_in(instance: &Instance, arena: &mut SolveArena) -> Vec<SweepPoint> {
-    let lo = instance.modes().capacity(0);
-    let hi = instance.max_capacity();
-    sweep_in(instance, lo..=hi, arena)
-}
-
 /// Minimum-power sweep point with cost within `cost_bound`.
 pub fn best_within(points: &[SweepPoint], cost_bound: f64) -> Option<&SweepPoint> {
     points
@@ -104,18 +75,13 @@ pub fn best_within(points: &[SweepPoint], cost_bound: f64) -> Option<&SweepPoint
         .min_by(|a, b| a.power.total_cmp(&b.power).then(a.cost.total_cmp(&b.cost)))
 }
 
-/// Convenience: sweep + filter in one call.
-pub fn solve(instance: &Instance, cost_bound: f64) -> Result<SweepPoint, ModelError> {
-    solve_in(instance, cost_bound, &mut SolveArena::default())
-}
-
-/// [`solve`] with a caller-provided [`SolveArena`].
-pub fn solve_in(
+/// [`paper_sweep`] + [`best_within`] in one call.
+pub fn solve(
     instance: &Instance,
     cost_bound: f64,
     arena: &mut SolveArena,
 ) -> Result<SweepPoint, ModelError> {
-    let points = paper_sweep_in(instance, arena);
+    let points = paper_sweep(instance, arena);
     best_within(&points, cost_bound).cloned().ok_or_else(|| {
         ModelError::Infeasible(format!(
             "greedy sweep finds nothing under cost {cost_bound}"
@@ -128,6 +94,10 @@ mod tests {
     use super::*;
     use replica_model::{CostModel, ModeSet, PowerModel, PreExisting};
     use replica_tree::{generate, GeneratorConfig, TreeBuilder};
+
+    fn sweep(instance: &Instance) -> Vec<SweepPoint> {
+        paper_sweep(instance, &mut SolveArena::default())
+    }
 
     fn paper_like_instance(seed: u64) -> Instance {
         use rand::{rngs::StdRng, SeedableRng};
@@ -148,7 +118,7 @@ mod tests {
     #[test]
     fn sweep_covers_capacities_and_modes_follow_load() {
         let inst = paper_like_instance(1);
-        let points = paper_sweep(&inst);
+        let points = sweep(&inst);
         assert!(!points.is_empty());
         for p in &points {
             assert!((5..=10).contains(&p.trial_capacity));
@@ -165,7 +135,7 @@ mod tests {
     #[test]
     fn smaller_trial_capacity_means_more_servers() {
         let inst = paper_like_instance(2);
-        let points = paper_sweep(&inst);
+        let points = sweep(&inst);
         let at = |w: u64| {
             points
                 .iter()
@@ -180,7 +150,7 @@ mod tests {
     #[test]
     fn best_within_respects_bound() {
         let inst = paper_like_instance(3);
-        let points = paper_sweep(&inst);
+        let points = sweep(&inst);
         let unbounded = best_within(&points, f64::INFINITY).unwrap();
         for p in &points {
             assert!(unbounded.power <= p.power + 1e-9);
@@ -192,19 +162,20 @@ mod tests {
     #[test]
     fn infeasible_bound_is_an_error() {
         let inst = paper_like_instance(4);
-        assert!(solve(&inst, 0.0).is_err());
-        assert!(solve(&inst, f64::INFINITY).is_ok());
+        let mut arena = SolveArena::default();
+        assert!(solve(&inst, 0.0, &mut arena).is_err());
+        assert!(solve(&inst, f64::INFINITY, &mut arena).is_ok());
     }
 
     #[test]
-    fn trial_above_max_capacity_skipped() {
+    fn sweep_tries_exactly_the_first_to_the_largest_mode_capacity() {
         let mut b = TreeBuilder::new();
         b.add_client(b.root(), 3);
         let inst = Instance::builder(b.build().unwrap())
-            .modes(ModeSet::new(vec![5, 10]).unwrap())
+            .modes(ModeSet::new(vec![5, 7, 10]).unwrap())
             .build()
             .unwrap();
-        let pts = sweep(&inst, [0u64, 5, 10, 20]);
-        assert_eq!(pts.len(), 2, "W = 0 and W = 20 must be skipped");
+        let tried: Vec<u64> = sweep(&inst).iter().map(|p| p.trial_capacity).collect();
+        assert_eq!(tried, (5..=10).collect::<Vec<_>>());
     }
 }

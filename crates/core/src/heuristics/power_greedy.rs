@@ -167,7 +167,9 @@ mod tests {
         for seed in 0..20 {
             let inst = instance(100 + seed, 40);
             let h = solve(&inst, f64::INFINITY).unwrap();
-            let g = crate::greedy_power::solve(&inst, f64::INFINITY).unwrap();
+            let g =
+                crate::greedy_power::solve(&inst, f64::INFINITY, &mut crate::SolveArena::default())
+                    .unwrap();
             total += 1;
             if h.power <= g.power + 1e-9 {
                 h_wins += 1;

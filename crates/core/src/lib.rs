@@ -75,12 +75,8 @@ pub use arena::SolveArena;
 pub use dp_mincost::{solve_min_cost, MinCostResult};
 pub use dp_mincost_nopre::{solve_min_count, MinCountResult};
 pub use dp_power::{
-    solve_min_power, solve_min_power_bounded_cost, FullScratch, PowerDp, PowerDpOptions,
-    PowerResult, RootCandidate,
+    solve_min_power, solve_min_power_bounded_cost, FullScratch, PowerDp, PowerResult, RootCandidate,
 };
 pub use dp_power_pruned::{PrunedPowerDp, PrunedScratch};
-pub use greedy::{
-    greedy_min_replicas, greedy_min_replicas_flat, greedy_min_replicas_in, GreedyResult,
-    GreedyScratch,
-};
+pub use greedy::{greedy_min_replicas, greedy_min_replicas_flat, GreedyResult, GreedyScratch};
 pub use incremental::IncrementalDp;

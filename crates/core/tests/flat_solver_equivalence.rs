@@ -160,7 +160,7 @@ proptest! {
     /// per budget.
     #[test]
     fn greedy_power_flat_matches_reference(instance in arbitrary_instance(45)) {
-        let flat_sweep = with_arena(|arena| greedy_power::paper_sweep_in(&instance, arena));
+        let flat_sweep = with_arena(|arena| greedy_power::paper_sweep(&instance, arena));
         let reference_sweep = reference::greedy_power_sweep(&instance);
         prop_assert_eq!(flat_sweep.len(), reference_sweep.len());
         for (f, r) in flat_sweep.iter().zip(&reference_sweep) {
@@ -171,7 +171,7 @@ proptest! {
             prop_assert_eq!(f.servers, r.servers);
         }
         for bound in budgets_for(&instance) {
-            let flat = with_arena(|arena| greedy_power::solve_in(&instance, bound, arena));
+            let flat = with_arena(|arena| greedy_power::solve(&instance, bound, arena));
             match (flat, reference::greedy_power_solve(&instance, bound)) {
                 (Ok(f), Ok(r)) => {
                     prop_assert_eq!(f.placement, r.placement, "bound {}", bound);

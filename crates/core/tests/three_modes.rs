@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use replica_core::{dp_power, dp_power_pruned, exhaustive, greedy_power};
+use replica_core::{dp_power, dp_power_pruned, exhaustive, greedy_power, SolveArena};
 use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting, Solution};
 use replica_tree::{NodeId, Tree, TreeBuilder};
 
@@ -123,7 +123,7 @@ fn reconstruction_valid_with_three_modes() {
 fn greedy_sweep_covers_intermediate_modes() {
     let mut rng = StdRng::seed_from_u64(336);
     let inst = three_mode_instance(&mut rng, 25, 0);
-    let points = greedy_power::paper_sweep(&inst);
+    let points = greedy_power::paper_sweep(&inst, &mut SolveArena::default());
     // The sweep spans W₁ = 3 … W₃ = 9; trial capacities below the largest
     // client bundle are rightly skipped as infeasible.
     let max_bundle = inst

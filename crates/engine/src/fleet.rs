@@ -11,7 +11,7 @@
 //! ([`FleetConfig::batch_jobs`] × solver count) plus the fixed-size
 //! accumulators, so fleets scale past what `instances × solvers` cells
 //! would fit in memory. Callers who want the raw per-cell stream tap it
-//! via [`Fleet::run_with_observer`].
+//! via [`Fleet::run_shard`]'s `observe` closure.
 //!
 //! Determinism: per-instance solver seeds derive from the fleet seed via
 //! [`seeding::mix`]; jobs are solved in parallel batch by batch, but each
@@ -26,22 +26,21 @@
 //! job index — and each streaming batch's jobs are constructed on demand
 //! and dropped with the batch. Running a range of the space therefore
 //! costs `O(range)` in both generation time and peak memory, not
-//! `O(campaign)`. The historical `&[FleetJob]` entry points remain as
-//! thin adapters (a slice is itself a trivial `JobSpace`).
+//! `O(campaign)`. An eager `&[FleetJob]` list is itself a trivial
+//! `JobSpace`.
 //!
-//! Sharding (the `replica-fleetd` seams): [`Fleet::run_space_shard_with_observer`]
-//! runs one contiguous job range with the *global* per-job seeding, so a
-//! shard worker produces exactly the cells the full run would — while
-//! constructing only that range's jobs;
-//! [`Fleet::run_space_shard_recorded`] additionally snapshots mergeable
-//! per-group state ([`GroupState`]); and [`FleetFold`] is the
-//! coordinator-side fold target that replays shard cell streams — in
-//! shard order — into a report byte-identical to a single-process
-//! [`Fleet::run`].
+//! Two entry points reach the one run body: [`Fleet::run`] evaluates a
+//! whole space, and [`Fleet::run_shard`] — the `replica-fleetd` seam —
+//! runs one contiguous job range with the *global* per-job seeding, so
+//! a shard worker produces exactly the cells the full run would while
+//! constructing only that range's jobs. It also snapshots mergeable
+//! per-group state ([`GroupState`]), taps the cell stream and honours a
+//! [`CancelToken`]. [`FleetFold`] is the coordinator-side fold target
+//! that replays shard cell streams — in shard order — into a report
+//! byte-identical to a single-process [`Fleet::run`].
 
-use crate::jobspace::{JobSpace, ScenarioSpace};
+use crate::jobspace::JobSpace;
 use crate::registry::Registry;
-use crate::scenarios::Scenario;
 use crate::seeding;
 use crate::solver::{SolveOptions, Solver};
 use crate::spec::SpecError;
@@ -214,7 +213,7 @@ impl CellResult {
 }
 
 /// One `(instance, solver)` evaluation, as seen by the streaming observer
-/// of [`Fleet::run_with_observer`]. Borrowed and transient: the cell is
+/// of [`Fleet::run_shard`]. Borrowed and transient: the cell is
 /// gone after the callback returns (zero retention on the hot path).
 pub struct FleetCell<'a> {
     /// Scenario label of the instance.
@@ -742,7 +741,7 @@ impl FleetFold {
     }
 }
 
-/// The outcome of [`Fleet::run_shard_recorded`]: the shard-local report
+/// The outcome of [`Fleet::run_shard`]: the shard-local report
 /// plus the mergeable per-group state a shard worker serializes.
 pub struct ShardRun {
     /// Aggregates of the shard's own job range (shard-local counts and
@@ -783,161 +782,50 @@ impl<'r> Fleet<'r> {
         Ok(Fleet { registry, config })
     }
 
-    /// Labels `count` instances of every scenario into an **eager** job
-    /// list — [`ScenarioSpace::materialize`] under its historical name.
-    /// Prefer [`Fleet::run_space`] over a [`ScenarioSpace`] directly:
-    /// the lazy path never holds more than one streaming batch of jobs.
-    pub fn jobs_from_scenarios(scenarios: &[Scenario], seed: u64, count: usize) -> Vec<FleetJob> {
-        ScenarioSpace::new(scenarios, seed, count).materialize()
-    }
-
-    /// Evaluates every job against every configured solver, streaming the
-    /// outcomes into aggregates (thin adapter: a slice is a [`JobSpace`]).
-    pub fn run(&self, jobs: &[FleetJob]) -> FleetReport {
-        self.run_space(jobs)
-    }
-
-    /// Like [`Fleet::run`], additionally handing every cell to `observe`
-    /// the moment its batch is folded — in deterministic job order,
-    /// regardless of thread count. The cell is dropped right after the
-    /// callback: this is the zero-retention tap for exporters.
-    pub fn run_with_observer(
-        &self,
-        jobs: &[FleetJob],
-        observe: impl FnMut(&FleetCell),
-    ) -> FleetReport {
-        self.run_space_with_observer(jobs, observe)
-    }
-
-    /// Runs one contiguous shard — `jobs[range]` — of an eager job list
-    /// (thin adapter over [`Fleet::run_space_shard`]).
-    pub fn run_shard(&self, jobs: &[FleetJob], range: Range<usize>) -> FleetReport {
-        self.run_space_shard(jobs, range)
-    }
-
-    /// [`Fleet::run_shard`] with the streaming cell tap (thin adapter
-    /// over [`Fleet::run_space_shard_with_observer`]).
-    pub fn run_shard_with_observer(
-        &self,
-        jobs: &[FleetJob],
-        range: Range<usize>,
-        observe: impl FnMut(&FleetCell),
-    ) -> FleetReport {
-        self.run_space_shard_with_observer(jobs, range, observe)
-    }
-
-    /// [`Fleet::run_shard_with_observer`] over recording accumulators
-    /// (thin adapter over [`Fleet::run_space_shard_recorded`]).
-    pub fn run_shard_recorded(
-        &self,
-        jobs: &[FleetJob],
-        range: Range<usize>,
-        observe: impl FnMut(&FleetCell),
-    ) -> ShardRun {
-        self.run_space_shard_recorded(jobs, range, observe)
-    }
-
-    /// Evaluates every job of `space` against every configured solver —
-    /// the primary, lazy entry point. Jobs are constructed one streaming
-    /// batch at a time and dropped with their batch: peak memory is
-    /// `O(batch_jobs)`, independent of the campaign size.
-    pub fn run_space<S: JobSpace + ?Sized>(&self, space: &S) -> FleetReport {
-        self.run_space_with_observer(space, |_| {})
-    }
-
-    /// [`Fleet::run_space`] with the streaming cell tap.
-    pub fn run_space_with_observer<S: JobSpace + ?Sized>(
-        &self,
-        space: &S,
-        observe: impl FnMut(&FleetCell),
-    ) -> FleetReport {
-        self.run_space_shard_with_observer(space, 0..space.len(), observe)
-    }
-
-    /// [`Fleet::run_space`] with telemetry: spans, per-batch progress,
-    /// per-group wall histograms and outcome counters flow through
-    /// `obs`. Telemetry is strictly out-of-band — the returned report
-    /// (checksum included) is byte-identical to an untraced run; the
+    /// Evaluates every job of `space` against every configured solver.
+    /// Jobs are constructed one streaming batch at a time and dropped
+    /// with their batch: peak memory is `O(batch_jobs)`, independent of
+    /// the campaign size. An eager `&[FleetJob]` is a [`JobSpace`] too.
+    ///
+    /// Telemetry — spans, per-batch progress, per-group wall histograms
+    /// and outcome counters — flows through `obs` ([`Obs::noop`] for
+    /// none). It is strictly out-of-band: the returned report (checksum
+    /// included) is byte-identical to an untraced run; the
     /// trace-invariance proptest pins this.
-    pub fn run_space_traced<S: JobSpace + ?Sized>(&self, space: &S, obs: &Obs) -> FleetReport {
+    pub fn run<S: JobSpace + ?Sized>(&self, space: &S, obs: &Obs) -> FleetReport {
         let reference = self.config.resolved_reference();
         self.run_range::<MetricAccumulator, S>(space, 0..space.len(), &mut |_| {}, obs, None)
             .expect("no cancel token given")
             .finish(reference.as_deref())
     }
 
-    /// Runs one contiguous shard — jobs `range` — of the job space.
+    /// Runs one contiguous shard — jobs `range` — of the job space, over
+    /// **recording** accumulators: besides the shard-local report it
+    /// snapshots every group's mergeable [`GroupState`] (tapes included),
+    /// which is what a shard worker serializes for the coordinator's
+    /// state-merge cross-check. Recording costs `O(cells)` memory, so
+    /// whole in-process runs should prefer [`Fleet::run`].
     ///
     /// Per-job seeds derive from the job's **global** index in `space`,
-    /// so a shard evaluates exactly the cells a full [`Fleet::run_space`]
-    /// would for those jobs, regardless of how the space is split — and
-    /// it constructs only that range's jobs (`O(range)` generation; the
+    /// so a shard evaluates exactly the cells a full [`Fleet::run`] would
+    /// for those jobs, regardless of how the space is split — and it
+    /// constructs only that range's jobs (`O(range)` generation; the
     /// `O(shard)` regression tests pin this through a
-    /// [`CountingSpace`](crate::jobspace::CountingSpace)). The returned
-    /// report is shard-local (its counts, checksum and aggregates cover
-    /// only the range); replaying shard cell streams through a
-    /// [`FleetFold`] in shard order reassembles the full-run report
-    /// byte-for-byte.
-    pub fn run_space_shard<S: JobSpace + ?Sized>(
-        &self,
-        space: &S,
-        range: Range<usize>,
-    ) -> FleetReport {
-        self.run_space_shard_with_observer(space, range, |_| {})
-    }
-
-    /// [`Fleet::run_space_shard`] with the streaming cell tap (the
-    /// shard-worker seam: `replica-fleetd` records the observed cells
-    /// into its shard report).
-    pub fn run_space_shard_with_observer<S: JobSpace + ?Sized>(
-        &self,
-        space: &S,
-        range: Range<usize>,
-        mut observe: impl FnMut(&FleetCell),
-    ) -> FleetReport {
-        let reference = self.config.resolved_reference();
-        self.run_range::<MetricAccumulator, S>(space, range, &mut observe, &Obs::noop(), None)
-            .expect("no cancel token given")
-            .finish(reference.as_deref())
-    }
-
-    /// [`Fleet::run_space_shard_with_observer`] over **recording**
-    /// accumulators: additionally snapshots every group's mergeable
-    /// [`GroupState`] (tapes included), which is what a shard worker
-    /// serializes for the coordinator's state-merge cross-check.
-    /// In-process runs should prefer the non-recording entry points —
-    /// recording costs `O(cells)` memory.
-    pub fn run_space_shard_recorded<S: JobSpace + ?Sized>(
-        &self,
-        space: &S,
-        range: Range<usize>,
-        observe: impl FnMut(&FleetCell),
-    ) -> ShardRun {
-        self.run_space_shard_recorded_traced(space, range, observe, &Obs::noop())
-    }
-
-    /// [`Fleet::run_space_shard_recorded`] with telemetry — the traced
-    /// shard-worker seam (`fleetd work --trace`, heartbeat progress).
-    pub fn run_space_shard_recorded_traced<S: JobSpace + ?Sized>(
-        &self,
-        space: &S,
-        range: Range<usize>,
-        observe: impl FnMut(&FleetCell),
-        obs: &Obs,
-    ) -> ShardRun {
-        self.run_space_shard_recorded_cancellable(space, range, observe, obs, None)
-            .expect("no cancel token given")
-    }
-
-    /// [`Fleet::run_space_shard_recorded_traced`] with a cooperative
-    /// [`CancelToken`] — the supervised-worker seam. The token is
-    /// checked **between streaming batches** (a batch folds atomically
-    /// or not at all): a cancelled run returns `None` and discards every
-    /// partial aggregate, so a supervisor that kills a shard mid-run can
-    /// never end up merging a half-folded report. `None` for `cancel`
-    /// (or a token that is never cancelled) makes this identical to the
-    /// uncancellable entry point.
-    pub fn run_space_shard_recorded_cancellable<S: JobSpace + ?Sized>(
+    /// [`CountingSpace`](crate::jobspace::CountingSpace)). The report's
+    /// counts, checksum and aggregates cover only the range; replaying
+    /// shard cell streams through a [`FleetFold`] in shard order
+    /// reassembles the full-run report byte-for-byte.
+    ///
+    /// `observe` sees every cell the moment its batch is folded — in
+    /// deterministic job order, regardless of thread count — and the
+    /// cell is dropped right after the callback. `obs` carries telemetry
+    /// as in [`Fleet::run`]. `cancel` is checked **between streaming
+    /// batches** (a batch folds atomically or not at all): a cancelled
+    /// run returns `None` and discards every partial aggregate, so a
+    /// supervisor that kills a shard mid-run can never end up merging a
+    /// half-folded report. Without a token, or with one that never
+    /// fires, the result is always `Some`.
+    pub fn run_shard<S: JobSpace + ?Sized>(
         &self,
         space: &S,
         range: Range<usize>,
@@ -1266,6 +1154,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobspace::ScenarioSpace;
     use crate::scenarios::{Demand, Scenario, Topology};
 
     fn tiny_jobs() -> Vec<FleetJob> {
@@ -1273,7 +1162,7 @@ mod tests {
             Scenario::new(Topology::High, Demand::Uniform, 12),
             Scenario::new(Topology::Star, Demand::Skewed, 12),
         ];
-        Fleet::jobs_from_scenarios(&scenarios, 11, 3)
+        ScenarioSpace::new(&scenarios, 11, 3).materialize()
     }
 
     #[test]
@@ -1289,7 +1178,7 @@ mod tests {
         };
         let fleet = Fleet::new(&registry, config);
         let jobs = tiny_jobs();
-        let report = fleet.run(&jobs);
+        let report = fleet.run(&jobs[..], &Obs::noop());
         assert_eq!(report.cell_count, jobs.len() * 3);
         assert_eq!(report.summaries.len(), 2 * 3, "2 scenarios × 3 solvers");
         for s in &report.summaries {
@@ -1339,7 +1228,9 @@ mod tests {
                 batch_jobs,
                 ..Default::default()
             };
-            Fleet::new(&registry, config).run(&tiny_jobs()).digest()
+            Fleet::new(&registry, config)
+                .run(&tiny_jobs()[..], &Obs::noop())
+                .digest()
         };
         let base = digest_with(None, 64);
         assert_eq!(base, digest_with(None, 64), "same config, same digest");
@@ -1377,10 +1268,16 @@ mod tests {
         };
         let jobs = tiny_jobs();
         let mut seen: Vec<(String, usize, &'static str)> = Vec::new();
-        let report = Fleet::new(&registry, config).run_with_observer(&jobs, |cell| {
-            seen.push((cell.scenario.to_string(), cell.instance, cell.solver));
-        });
-        assert_eq!(seen.len(), report.cell_count);
+        let run = Fleet::new(&registry, config)
+            .run_shard(
+                &jobs[..],
+                0..jobs.len(),
+                |cell| seen.push((cell.scenario.to_string(), cell.instance, cell.solver)),
+                &Obs::noop(),
+                None,
+            )
+            .expect("no cancel token given");
+        assert_eq!(seen.len(), run.report.cell_count);
         let expected: Vec<(String, usize, &'static str)> = jobs
             .iter()
             .flat_map(|j| {
@@ -1400,7 +1297,7 @@ mod tests {
             solvers: vec!["greedy".into()],
             ..Default::default()
         };
-        let report = Fleet::new(&registry, config).run(&tiny_jobs());
+        let report = Fleet::new(&registry, config).run(&tiny_jobs()[..], &Obs::noop());
         let table = report.table();
         assert!(table.contains("scenario"));
         assert!(table.lines().count() >= 2 + 2, "header + rule + 2 rows");
@@ -1445,7 +1342,7 @@ mod tests {
         let registry = Registry::with_all();
         let fleet = Fleet::new(&registry, shard_config());
         let jobs = tiny_jobs();
-        let whole = fleet.run(&jobs);
+        let whole = fleet.run(&jobs[..], &Obs::noop());
 
         for shards in [1, 2, 3, jobs.len() + 3] {
             // Worker side: run each contiguous range, recording cells and
@@ -1457,7 +1354,7 @@ mod tests {
             let mut merged_groups: Option<Vec<GroupState>> = None;
             for range in split(jobs.len(), shards) {
                 let mut rows: Vec<RecordedRow> = Vec::new();
-                let shard = fleet.run_shard_recorded(&jobs, range, |cell| {
+                let record = |cell: &FleetCell| {
                     if rows.last().map(|(s, i, _)| (s.as_str(), *i))
                         != Some((cell.scenario, cell.instance))
                     {
@@ -1467,7 +1364,10 @@ mod tests {
                         .expect("row pushed above")
                         .2
                         .push((cell.result.clone(), cell.wall_seconds));
-                });
+                };
+                let shard = fleet
+                    .run_shard(&jobs[..], range, record, &Obs::noop(), None)
+                    .expect("no cancel token given");
                 // Coordinator side, canonical route: replay the cells.
                 for (scenario, instance, row) in rows {
                     fold.fold_row(&scenario, instance, row);
@@ -1516,19 +1416,15 @@ mod tests {
         let fleet = Fleet::new(&registry, shard_config());
         let jobs = tiny_jobs();
 
-        // A never-cancelled token changes nothing: byte-identical to the
-        // uncancellable entry point.
+        // A never-cancelled token changes nothing: byte-identical to a
+        // run without one.
         let token = CancelToken::new();
         let run = fleet
-            .run_space_shard_recorded_cancellable(
-                &jobs[..],
-                0..jobs.len(),
-                |_| {},
-                &replica_obs::Obs::noop(),
-                Some(&token),
-            )
+            .run_shard(&jobs[..], 0..jobs.len(), |_| {}, &Obs::noop(), Some(&token))
             .expect("uncancelled run completes");
-        let baseline = fleet.run_shard_recorded(&jobs, 0..jobs.len(), |_| {});
+        let baseline = fleet
+            .run_shard(&jobs[..], 0..jobs.len(), |_| {}, &Obs::noop(), None)
+            .expect("no cancel token given");
         assert_eq!(run.report.digest(), baseline.report.digest());
 
         // Cancelling from the cell observer (batch_jobs = 2, so the
@@ -1538,7 +1434,7 @@ mod tests {
         let mid = CancelToken::new();
         let mid_clone = mid.clone();
         let mut seen = 0usize;
-        let cancelled = fleet.run_space_shard_recorded_cancellable(
+        let cancelled = fleet.run_shard(
             &jobs[..],
             0..jobs.len(),
             |_| {
@@ -1547,7 +1443,7 @@ mod tests {
                     mid_clone.cancel();
                 }
             },
-            &replica_obs::Obs::noop(),
+            &Obs::noop(),
             Some(&mid),
         );
         assert!(cancelled.is_none(), "mid-run cancellation must yield None");
@@ -1558,11 +1454,11 @@ mod tests {
         let pre = CancelToken::new();
         pre.cancel();
         let mut observed = 0usize;
-        let none = fleet.run_space_shard_recorded_cancellable(
+        let none = fleet.run_shard(
             &jobs[..],
             0..jobs.len(),
             |_| observed += 1,
-            &replica_obs::Obs::noop(),
+            &Obs::noop(),
             Some(&pre),
         );
         assert!(none.is_none());
@@ -1572,7 +1468,7 @@ mod tests {
     #[test]
     fn deterministic_table_drops_timing_columns() {
         let registry = Registry::with_all();
-        let report = Fleet::new(&registry, shard_config()).run(&tiny_jobs());
+        let report = Fleet::new(&registry, shard_config()).run(&tiny_jobs()[..], &Obs::noop());
         let table = report.table_deterministic();
         assert!(table.contains("gap_vs_ref"));
         assert!(!table.contains("ms/solve"));
@@ -1584,7 +1480,9 @@ mod tests {
         let registry = Registry::with_all();
         let fleet = Fleet::new(&registry, shard_config());
         let jobs = tiny_jobs();
-        let shard = fleet.run_shard_recorded(&jobs, 0..jobs.len(), |_| {});
+        let shard = fleet
+            .run_shard(&jobs[..], 0..jobs.len(), |_| {}, &Obs::noop(), None)
+            .expect("no cancel token given");
         for (state, summary) in shard.groups.iter().zip(&shard.report.summaries) {
             // Wire round-trip preserves agreement bit for bit.
             let json = serde_json::to_string(state).unwrap();

@@ -14,13 +14,12 @@
 //!
 //! 1. **Index identity** — [`JobSpace::job`]`(i)` is identical,
 //!    field-for-field, to the `i`-th entry of the eagerly materialized
-//!    job list ([`ScenarioSpace::materialize`], the body behind
-//!    `Fleet::jobs_from_scenarios`). Instance generation seeds derive
-//!    from `(scenario name, fleet seed, index-within-scenario)` and the
-//!    per-job solver seed from the **global** index
-//!    ([`seeding::mix`](crate::seeding::mix)`(fleet_seed, i)`) — never
-//!    from enumeration order — so it does not matter who generates a job,
-//!    when, or in which order.
+//!    job list ([`ScenarioSpace::materialize`]). Instance generation
+//!    seeds derive from `(scenario name, fleet seed,
+//!    index-within-scenario)` and the per-job solver seed from the
+//!    **global** index ([`seeding::mix`](crate::seeding::mix)`(fleet_seed,
+//!    i)`) — never from enumeration order — so it does not matter who
+//!    generates a job, when, or in which order.
 //! 2. **Range locality** — the fleet's shard entry points call `job(i)`
 //!    only for `i` inside the requested range, one streaming batch at a
 //!    time. A shard worker therefore constructs exactly its own jobs
@@ -63,9 +62,9 @@ pub trait JobSpace: Sync {
 }
 
 /// An eagerly materialized job list is itself a (trivial) job space:
-/// `job(i)` clones entry `i`. This is the thin adapter behind the
-/// `&[FleetJob]` fleet entry points — pre-built lists keep working, at
-/// the cost of one instance clone per solve batch.
+/// `job(i)` clones entry `i`. Pre-built lists run through the same fleet
+/// entry points as lazy spaces, at the cost of one instance clone per
+/// job.
 impl JobSpace for [FleetJob] {
     fn len(&self) -> usize {
         self.len()
@@ -82,8 +81,8 @@ impl JobSpace for [FleetJob] {
 ///
 /// Global index `i` maps to scenario `i / per_scenario`, within-scenario
 /// index `i % per_scenario`; the instance is
-/// [`Scenario::instance`]`(seed, within)` — exactly what the eager
-/// `Fleet::jobs_from_scenarios` builds, without building it.
+/// [`Scenario::instance`]`(seed, within)` — exactly what
+/// [`ScenarioSpace::materialize`] builds, without building it.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioSpace<'a> {
     scenarios: &'a [Scenario],

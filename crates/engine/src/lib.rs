@@ -30,11 +30,11 @@
 //!    materializing the cell matrix. Jobs come from an **indexed lazy
 //!    [`JobSpace`]** ([`jobspace`]): `index → FleetJob` as a pure
 //!    function of the global job index, so running any contiguous range
-//!    constructs only that range's jobs. Shard-scoped entry points
-//!    ([`Fleet::run_space_shard_recorded`], [`FleetFold`],
-//!    [`GroupState`], [`RecordedMetric`]) let `replica-fleetd` split a
-//!    fleet across processes — each worker `O(shard)` in generation and
-//!    memory — and merge the pieces back byte-identically.
+//!    constructs only that range's jobs. The shard entry point
+//!    ([`Fleet::run_shard`]) and [`FleetFold`], [`GroupState`] and
+//!    [`RecordedMetric`] let `replica-fleetd` split a fleet across
+//!    processes — each worker `O(shard)` in generation and memory — and
+//!    merge the pieces back byte-identically.
 //! 5. **[`spec`]** — the declarative campaign API: [`CampaignSpec`], the
 //!    single serde-serializable, *validated* description of any run
 //!    (named scenario sets or inline scenario lists, solver lineup,
@@ -90,7 +90,7 @@
 //!     .validate(&registry)
 //!     .unwrap();
 //! let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
-//! let report = fleet.run_space(&campaign.space());
+//! let report = fleet.run(&campaign.space(), &Obs::noop());
 //! assert_eq!(report.summaries.len(), 2);
 //! println!("{}", report.table());
 //! ```

@@ -720,6 +720,8 @@ fn analysis_json(analysis: &Analysis, timing: bool) -> String {
 mod tests {
     use super::*;
     use crate::fleet::{Fleet, FleetConfig};
+    use crate::jobspace::ScenarioSpace;
+    use crate::obs::Obs;
     use crate::registry::Registry;
     use crate::scenarios::{Demand, Scenario, Topology};
 
@@ -733,8 +735,8 @@ mod tests {
             solvers: vec!["dp_power".into(), "greedy_power".into()],
             ..Default::default()
         };
-        let jobs = Fleet::jobs_from_scenarios(&scenarios, 2, 2);
-        Fleet::new(&registry, config).run(&jobs)
+        let jobs = ScenarioSpace::new(&scenarios, 2, 2).materialize();
+        Fleet::new(&registry, config).run(&jobs[..], &Obs::noop())
     }
 
     #[test]

@@ -250,10 +250,10 @@ static SOLVERS: [Solver; 10] = [
         accepts: any_instance,
         policy: ModePolicy::Assigned,
         algorithm: |instance, options, _, arena| {
-            greedy_power::solve_in(instance, options.cost_bound, arena).map(|s| s.placement)
+            greedy_power::solve(instance, options.cost_bound, arena).map(|s| s.placement)
         },
         frontier: Some(|instance, arena| {
-            let sweep = greedy_power::paper_sweep_in(instance, arena);
+            let sweep = greedy_power::paper_sweep(instance, arena);
             Ok(sweep.into_iter().map(|p| (p.cost, p.power)).collect())
         }),
     },

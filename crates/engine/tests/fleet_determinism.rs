@@ -5,12 +5,15 @@
 //! including the randomized annealing solver (whose seeds the fleet
 //! derives per instance).
 
-use replica_engine::{extended_families, Fleet, FleetConfig, Registry, SolveOptions};
+use replica_engine::obs::Obs;
+use replica_engine::{
+    extended_families, Fleet, FleetConfig, Registry, ScenarioSpace, SolveOptions,
+};
 
 fn digest(registry: &Registry, threads: Option<usize>, batch_jobs: usize, seed: u64) -> String {
     let scenarios = extended_families(16);
     assert_eq!(scenarios.len(), 35, "5 topologies × 7 demand patterns");
-    let jobs = Fleet::jobs_from_scenarios(&scenarios, seed, 2);
+    let jobs = ScenarioSpace::new(&scenarios, seed, 2).materialize();
     let config = FleetConfig {
         solvers: vec![
             "greedy".into(),
@@ -24,7 +27,9 @@ fn digest(registry: &Registry, threads: Option<usize>, batch_jobs: usize, seed: 
         threads,
         batch_jobs,
     };
-    Fleet::new(registry, config).run(&jobs).digest()
+    Fleet::new(registry, config)
+        .run(&jobs[..], &Obs::noop())
+        .digest()
 }
 
 #[test]
@@ -65,7 +70,7 @@ fn seeded_fleet_sweep_is_byte_identical_across_runs_and_thread_counts() {
 fn exact_dp_dominates_every_other_solver_across_the_sweep() {
     let registry = Registry::with_all();
     let scenarios = extended_families(16);
-    let jobs = Fleet::jobs_from_scenarios(&scenarios, 7, 2);
+    let jobs = ScenarioSpace::new(&scenarios, 7, 2).materialize();
     let config = FleetConfig {
         solvers: vec![
             "greedy_power".into(),
@@ -75,7 +80,7 @@ fn exact_dp_dominates_every_other_solver_across_the_sweep() {
         reference: Some("dp_power".into()),
         ..Default::default()
     };
-    let report = Fleet::new(&registry, config).run(&jobs);
+    let report = Fleet::new(&registry, config).run(&jobs[..], &Obs::noop());
     assert_eq!(report.summaries.len(), scenarios.len() * 3);
     assert_eq!(report.cell_count, jobs.len() * 3);
     for summary in &report.summaries {

@@ -41,7 +41,7 @@ fn campaign(seed: u64, solver_pick: usize, batch_jobs: usize) -> Campaign {
 fn run_with(campaign: &Campaign, obs: &Obs) -> FleetReport {
     let registry = Registry::with_all();
     let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
-    fleet.run_space_traced(&campaign.space(), obs)
+    fleet.run(&campaign.space(), obs)
 }
 
 proptest! {

@@ -326,8 +326,7 @@ fn run_fleet(args: &Args) {
             .unwrap_or_else(|e| die(&format!("cannot create trace file {}: {e}", path.display()))),
         None => replica_engine::obs::Obs::noop(),
     };
-    let fleet_report =
-        fleet_cmd::run_traced(&campaign, &registry, &obs).unwrap_or_else(|e| die_spec(&e));
+    let fleet_report = fleet_cmd::run(&campaign, &registry, &obs).unwrap_or_else(|e| die_spec(&e));
     println!("{}", replica_engine::render(&fleet_report, campaign.output));
     let csv_path = PathBuf::from(args.get("out").unwrap_or("results")).join("fleet.csv");
     match std::fs::create_dir_all(csv_path.parent().expect("joined path has a parent"))

@@ -323,7 +323,7 @@ mod tests {
         // The values this module produced before the engine grew its
         // budget-sweep API: one raw PowerDp run + one raw GR capacity
         // sweep per tree, filtered per bound.
-        use replica_core::{dp_power, greedy_power};
+        use replica_core::{dp_power, greedy_power, SolveArena};
         let cfg = quick_config();
         let points = run(&cfg);
         for (b, point) in cfg.bounds.iter().zip(&points) {
@@ -334,8 +334,8 @@ mod tests {
                 let dp = dp_power::PowerDp::run(&instance)
                     .ok()
                     .and_then(|dp| dp.best_within(*b).map(|c| c.power));
-                let gr = greedy_power::best_within(&greedy_power::paper_sweep(&instance), *b)
-                    .map(|p| p.power);
+                let sweep = greedy_power::paper_sweep(&instance, &mut SolveArena::default());
+                let gr = greedy_power::best_within(&sweep, *b).map(|p| p.power);
                 dp_inv.push(dp.map_or(0.0, |v| 1.0 / v));
                 gr_inv.push(gr.map_or(0.0, |v| 1.0 / v));
             }

@@ -17,6 +17,7 @@
 
 use crate::cli::Args;
 use crate::report::{fmt, Table};
+use replica_engine::obs::Obs;
 use replica_engine::spec::CampaignSpec;
 use replica_engine::{Campaign, Fleet, FleetReport, Registry, SolveOptions, SpecError};
 
@@ -37,21 +38,13 @@ pub fn spec_from_args(args: &Args) -> Result<CampaignSpec, SpecError> {
 }
 
 /// Runs the validated campaign single-process through the engine.
-pub fn run(campaign: &Campaign, registry: &Registry) -> Result<FleetReport, SpecError> {
-    run_traced(campaign, registry, &replica_engine::obs::Obs::noop())
-}
-
-/// [`run`] with telemetry: batch spans, per-batch progress and
-/// per-`(scenario, solver)` timing histograms stream into `obs` (the
-/// `--trace` flag routes a JSONL handle here). Out-of-band: the
-/// returned report is byte-identical to an untraced [`run`].
-pub fn run_traced(
-    campaign: &Campaign,
-    registry: &Registry,
-    obs: &replica_engine::obs::Obs,
-) -> Result<FleetReport, SpecError> {
+/// Batch spans, per-batch progress and per-`(scenario, solver)` timing
+/// histograms stream into `obs` (the `--trace` flag routes a JSONL
+/// handle here; [`Obs::noop`] for none). Out-of-band: the returned
+/// report is byte-identical to an untraced run.
+pub fn run(campaign: &Campaign, registry: &Registry, obs: &Obs) -> Result<FleetReport, SpecError> {
     let fleet = Fleet::try_new(registry, campaign.fleet_config())?;
-    Ok(fleet.run_space_traced(&campaign.space(), obs))
+    Ok(fleet.run(&campaign.space(), obs))
 }
 
 /// The campaign's budget-grid frontier sweep, when the spec carries
@@ -170,7 +163,7 @@ mod tests {
     fn fleet_runs_and_budget_table_covers_the_grid() {
         let registry = Registry::with_all();
         let campaign = tiny_campaign();
-        let report = run(&campaign, &registry).unwrap();
+        let report = run(&campaign, &registry, &Obs::noop()).unwrap();
         assert_eq!(report.cell_count, campaign.job_count() * 2);
 
         let table = budget_table(&campaign, &registry).expect("grid present");

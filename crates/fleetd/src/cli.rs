@@ -418,7 +418,8 @@ fn cmd_work(args: &Args) -> Result<(), FleetdError> {
     }
     let obs = Obs::new(Arc::new(FanoutSink::new(sinks)), verbosity);
 
-    let result = worker::run_shard_attempt(&plan, shard, attempt, &obs, None)
+    let space = plan.campaign.space();
+    let result = worker::run_shard_attempt(&plan, shard, attempt, &space, &obs, None)
         .map(|report| report.expect("no cancel token given"))
         .and_then(|report| {
             if let Some(FaultKind::TruncateReport) = fault {

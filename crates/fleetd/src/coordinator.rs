@@ -52,7 +52,7 @@ use crate::plan::ShardPlan;
 use crate::pool::{self, ClaimRecord};
 use crate::sched::{FailureOutcome, Launch, SchedConfig, Scheduler};
 use crate::shard::ShardReport;
-use crate::worker;
+use crate::worker::run_shard_attempt;
 use replica_engine::obs::{Event, Obs, SchedOp, Sink, Verbosity};
 use replica_engine::{CancelToken, Fleet, FleetReport, Registry};
 use std::fs;
@@ -241,6 +241,7 @@ fn run_in_process(
         None => Obs::noop(),
     };
     let cells_per_job = plan.campaign.solvers.len().max(1);
+    let space = plan.campaign.space();
     let mut sched = Scheduler::new(plan.shards.len(), options.sched);
     let mut now: u64 = 0;
     let mut pool: Vec<ShardReport> = Vec::new();
@@ -266,7 +267,7 @@ fn run_in_process(
             emit_launch(&obs, &launch);
             obs.emit(Event::ShardSegment { shard, attempt });
             match options.faults.fault_for(shard, attempt) {
-                None => match worker::run_shard_attempt(plan, shard, attempt, &obs, None) {
+                None => match run_shard_attempt(plan, shard, attempt, &space, &obs, None) {
                     Ok(Some(report)) => {
                         if sched.on_success(shard, attempt) {
                             obs.emit(sched_event(SchedOp::Done, shard, attempt, None));
@@ -295,7 +296,7 @@ fn run_in_process(
                     // after solving, before writing), a killed worker
                     // delivers nothing.
                     let _ =
-                        worker::run_shard_attempt(plan, shard, attempt, &fault_obs, Some(&cancel));
+                        run_shard_attempt(plan, shard, attempt, &space, &fault_obs, Some(&cancel));
                     failures.push(format!(
                         "shard {shard} attempt {attempt}: worker killed after {after_cells} cells (injected)"
                     ));
@@ -312,7 +313,7 @@ fn run_in_process(
                 }
                 Some(FaultKind::TruncateReport) => {
                     let failure =
-                        match worker::run_shard_attempt(plan, shard, attempt, &Obs::noop(), None) {
+                        match run_shard_attempt(plan, shard, attempt, &space, &Obs::noop(), None) {
                             Ok(Some(report)) => {
                                 // Tear the report the way a killed writer
                                 // would and take the parse error as the
@@ -341,7 +342,7 @@ fn run_in_process(
                     // coordinator wrote the attempt off long ago. The
                     // report is a zombie the fenced merge must skip.
                     if let Ok(Some(report)) =
-                        worker::run_shard_attempt(plan, shard, attempt, &Obs::noop(), None)
+                        run_shard_attempt(plan, shard, attempt, &space, &Obs::noop(), None)
                     {
                         pool.push(report);
                     }
@@ -744,13 +745,13 @@ fn parse_trace_name(name: &str) -> Option<(usize, usize)> {
     Some((shard.parse().ok()?, attempt.parse().ok()?))
 }
 
-/// Runs the same campaign single-process ([`Fleet::run_space`] over the
+/// Runs the same campaign single-process ([`Fleet::run`] over the
 /// campaign's lazy job space) — the baseline of the determinism proof.
 pub fn run_single_process(plan: &ShardPlan) -> Result<FleetReport, FleetdError> {
     let registry = Registry::with_all();
     plan.campaign.validate(&registry)?;
     let fleet = Fleet::try_new(&registry, plan.campaign.fleet_config())?;
-    Ok(fleet.run_space(&plan.campaign.space()))
+    Ok(fleet.run(&plan.campaign.space(), &Obs::noop()))
 }
 
 /// Proves a merged report equivalent to a fresh single-process run of

@@ -226,6 +226,7 @@ pub fn run_sharded_in_process(plan: &ShardPlan) -> Result<FleetReport, FleetdErr
 mod tests {
     use super::*;
     use crate::worker::run_shard;
+    use replica_engine::obs::Obs;
     use replica_engine::{Campaign, Fleet, Registry};
 
     fn tiny_plan(shards: usize) -> ShardPlan {
@@ -241,7 +242,7 @@ mod tests {
         let fleet = Fleet::new(&registry, plan.campaign.fleet_config());
         // Deliberately the *eager* path: the merged lazy-worker reports
         // must match a run over the materialized job list bit for bit.
-        fleet.run(&plan.campaign.jobs()).digest()
+        fleet.run(&plan.campaign.jobs()[..], &Obs::noop()).digest()
     }
 
     #[test]

@@ -168,8 +168,9 @@ fn a_torn_report_names_its_shard_and_attempt_and_the_retry_succeeds() {
 fn zombie_reports_cannot_merge_over_a_retry() {
     let plan = plan_of(3, 0xFA04);
     let obs = Obs::noop();
+    let space = plan.campaign.space();
     let run = |shard: usize, attempt: usize| -> ShardReport {
-        run_shard_attempt(&plan, shard, attempt, &obs, None)
+        run_shard_attempt(&plan, shard, attempt, &space, &obs, None)
             .unwrap()
             .expect("no cancellation requested")
     };

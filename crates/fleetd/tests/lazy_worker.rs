@@ -8,10 +8,11 @@
 //! refactor: if job generation ever becomes `O(campaign)` per worker
 //! again (or the lazy path drifts from the eager one), this suite fails.
 
+use replica_engine::obs::Obs;
 use replica_engine::{CountingSpace, Fleet, JobSpace, Registry};
 use replica_fleetd::merge::merge_reports;
-use replica_fleetd::worker::{run_shard, run_shard_on};
-use replica_fleetd::{Campaign, ShardPlan, ShardReport};
+use replica_fleetd::worker::{run_shard, run_shard_attempt};
+use replica_fleetd::{Campaign, FleetdError, ShardPlan, ShardReport};
 
 /// 3 scenarios × 4 instances = 12 jobs, cheap solver pair.
 fn plan(shards: usize) -> ShardPlan {
@@ -20,6 +21,17 @@ fn plan(shards: usize) -> ShardPlan {
     campaign.solvers = vec!["greedy_power".into(), "dp_power".into()];
     campaign.batch_jobs = 2;
     ShardPlan::new(campaign, shards).unwrap()
+}
+
+/// Runs shard `shard` of `plan` over an explicit job space (attempt 0,
+/// no telemetry, no cancellation).
+fn run_shard_on<S: JobSpace>(
+    plan: &ShardPlan,
+    shard: usize,
+    space: &S,
+) -> Result<ShardReport, FleetdError> {
+    run_shard_attempt(plan, shard, 0, space, &Obs::noop(), None)
+        .map(|report| report.expect("no cancel token given"))
 }
 
 #[test]
@@ -55,7 +67,7 @@ fn workers_construct_exactly_their_shard_and_merge_byte_identically() {
     // eagerly materialized job list.
     let registry = Registry::with_all();
     let fleet = Fleet::new(&registry, plan.campaign.fleet_config());
-    let single = fleet.run(&plan.campaign.jobs());
+    let single = fleet.run(&plan.campaign.jobs()[..], &Obs::noop());
     assert_eq!(merged.digest(), single.digest());
     assert_eq!(merged.cell_count, single.cell_count);
     assert_eq!(merged.cell_checksum, single.cell_checksum);

@@ -9,6 +9,7 @@
 //! preserves the bits.
 
 use proptest::prelude::*;
+use replica_engine::obs::Obs;
 use replica_engine::{Fleet, FleetReport, Registry};
 use replica_fleetd::merge::{merge_reports, merge_reports_fenced};
 use replica_fleetd::worker::{run_shard, run_shard_attempt};
@@ -37,7 +38,7 @@ fn campaign(seed: u64) -> Campaign {
 fn single_process(campaign: &Campaign) -> FleetReport {
     let registry = Registry::with_all();
     let fleet = Fleet::new(&registry, campaign.fleet_config());
-    fleet.run(&campaign.jobs())
+    fleet.run(&campaign.jobs()[..], &Obs::noop())
 }
 
 /// Runs every shard of `plan`, round-trips each report through its JSON
@@ -114,7 +115,8 @@ proptest! {
     ) {
         let campaign = campaign(seed);
         let plan = ShardPlan::new(campaign.clone(), shards).unwrap();
-        let obs = replica_engine::obs::Obs::noop();
+        let obs = Obs::noop();
+        let space = plan.campaign.space();
 
         // Draw each shard's winning generation from the scramble bits;
         // every earlier generation also completed (late) and sits in
@@ -126,7 +128,7 @@ proptest! {
             let crowned = (bits % 3) as usize;
             bits /= 3;
             for attempt in 0..=crowned {
-                let report = run_shard_attempt(&plan, shard, attempt, &obs, None)
+                let report = run_shard_attempt(&plan, shard, attempt, &space, &obs, None)
                     .unwrap()
                     .expect("no cancellation requested");
                 assert_eq!(report.attempt, attempt);

@@ -67,7 +67,6 @@ pub mod modes;
 pub mod placement;
 pub mod power;
 pub mod preexisting;
-pub mod reference;
 pub mod solution;
 
 pub use assignment::{compute_validated, Assignment};

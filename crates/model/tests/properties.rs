@@ -6,10 +6,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use replica_model::{
-    reference, Assignment, CostModel, Instance, ModeSet, Placement, PowerModel, PreExisting,
-    Solution,
+    Assignment, CostModel, Instance, ModeSet, Placement, PowerModel, PreExisting, Solution,
 };
 use replica_tree::{generate, GeneratorConfig, NodeId};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 fn tree_and_placement(seed: u64, nodes: usize, density: f64) -> (replica_tree::Tree, Placement) {
     let mut rng = StdRng::seed_from_u64(seed);

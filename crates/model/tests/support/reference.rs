@@ -6,8 +6,7 @@
 //! server). It exists purely so the test suite can differentially test the
 //! fast engine — none of the algorithms use it.
 
-use crate::assignment::Assignment;
-use crate::placement::Placement;
+use replica_model::{Assignment, Placement};
 use replica_tree::{NodeId, Tree};
 
 /// Walks up from each client to its first server — `O(C · depth)`.
@@ -63,7 +62,6 @@ pub fn assert_matches_reference(tree: &Tree, placement: &Placement) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::Placement;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use replica_tree::{generate, GeneratorConfig};

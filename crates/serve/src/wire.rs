@@ -12,6 +12,9 @@
 //! `client` is the client index (`ClientId::from_index`), `volume` the
 //! new absolute request rate — absolute, not relative, so a replayed
 //! stream is idempotent per line and insensitive to lost history.
+//! `volume` is at most `u32::MAX` (4294967295); a larger one is a
+//! line-numbered error. Client handles are `u32` too, so even 2³²
+//! clients at the ceiling sum below 2⁶⁴ and no demand total can wrap.
 //! Unknown fields are rejected, not ignored: a replay file that
 //! misspells `volume` should fail loudly, not serve stale demand.
 
@@ -25,7 +28,7 @@ pub enum ServeEvent {
     Delta {
         /// The client whose demand changes.
         client: ClientId,
-        /// Its new absolute volume.
+        /// Its new absolute volume (at most `u32::MAX` on the wire).
         volume: u64,
     },
     /// Epoch mark: re-solve now and emit a placement diff.
@@ -105,11 +108,14 @@ impl<'de> Deserialize<'de> for ServeEvent {
                 // here, before `ClientId::from_index` could panic on it.
                 let client = u32::try_from(client)
                     .map_err(|_| D::Error::custom(format!("client index {client} out of range")))?;
-                let volume = u64::try_from(volume)
-                    .map_err(|_| D::Error::custom(format!("volume {volume} out of range")))?;
+                // Volumes are capped at `u32::MAX`: with at most 2³²
+                // clients, no sum of volumes can wrap a `u64`.
+                let volume = u32::try_from(volume).map_err(|_| {
+                    D::Error::custom(format!("volume {volume} out of range (max {})", u32::MAX))
+                })?;
                 Ok(ServeEvent::Delta {
                     client: ClientId::from_index(client as usize),
-                    volume,
+                    volume: u64::from(volume),
                 })
             }
             "epoch" if client.is_none() && volume.is_none() => Ok(ServeEvent::Epoch),
@@ -163,6 +169,7 @@ mod tests {
             "{\"event\":\"delta\",\"volume\":1}",
             "{\"event\":\"delta\",\"client\":-1,\"volume\":1}",
             "{\"event\":\"delta\",\"client\":4294967296,\"volume\":1}",
+            "{\"event\":\"delta\",\"client\":1,\"volume\":4294967296}",
             "{\"event\":\"resolve\"}",
             "{\"event\":\"epoch\",\"client\":1}",
             "{\"event\":\"delta\",\"client\":1,\"vol\":2}",

@@ -306,6 +306,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_demand_that_overflows_u64() {
+        for bad in [
+            "(:18446744073709551615,:1)",
+            "((:9223372036854775808),:9223372036854775808)",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.to_string().contains("demand"), "{bad:?} → {err}");
+        }
+        let max = parse("(:18446744073709551615)").unwrap();
+        assert_eq!(max.total_requests(), u64::MAX);
+    }
+
+    #[test]
     fn rejects_trailing_and_leading_commas() {
         for bad in ["(:5,)", "(,:5)", "((),)", "(,)"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");

@@ -26,6 +26,9 @@ pub enum TreeError {
     NotATree(NodeId),
     /// A client's attach pointer and the node's client list disagree.
     ClientLinkMismatch(String),
+    /// The client volumes sum past `u64::MAX`, so per-node and subtree
+    /// demand sums would wrap.
+    DemandOverflow,
 }
 
 impl fmt::Display for TreeError {
@@ -48,6 +51,9 @@ impl fmt::Display for TreeError {
                 )
             }
             TreeError::ClientLinkMismatch(what) => write!(f, "client link mismatch: {what}"),
+            TreeError::DemandOverflow => {
+                write!(f, "total client demand exceeds {}", u64::MAX)
+            }
         }
     }
 }
@@ -55,7 +61,9 @@ impl fmt::Display for TreeError {
 impl std::error::Error for TreeError {}
 
 /// Checks arena consistency: single root, mutual parent/child links, client
-/// links, and global reachability (connected + acyclic).
+/// links, global reachability (connected + acyclic), and a total client
+/// demand that fits a `u64` — every per-node and subtree demand sum is at
+/// most that total, so none of them can wrap.
 pub fn validate(tree: &Tree) -> Result<(), TreeError> {
     if tree.nodes.is_empty() {
         return Err(TreeError::Empty);
@@ -108,7 +116,11 @@ pub fn validate(tree: &Tree) -> Result<(), TreeError> {
         }
     }
 
+    let mut demand = 0u64;
     for (idx, client) in tree.clients.iter().enumerate() {
+        demand = demand
+            .checked_add(client.requests)
+            .ok_or(TreeError::DemandOverflow)?;
         if client.attach.index() >= n {
             return Err(TreeError::DanglingHandle(format!("attach of client {idx}")));
         }

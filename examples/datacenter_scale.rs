@@ -93,7 +93,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let sweep = greedy_power::paper_sweep_in(&instance, &mut arena);
+    let sweep = greedy_power::paper_sweep(&instance, &mut arena);
     let gp = greedy_power::best_within(&sweep, f64::INFINITY).expect("feasible");
     println!(
         "greedy_power (paper sweep):   {:>10.1?}  {} servers, cost {:.1}, power {:.0}",

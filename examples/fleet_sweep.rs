@@ -48,7 +48,7 @@ fn main() {
     // The indexed lazy job space: instances are generated on demand, one
     // streaming batch at a time — the campaign is never materialized.
     let fleet = Fleet::try_new(&registry, campaign.fleet_config()).expect("validated config");
-    let report = fleet.run_space(&campaign.space());
+    let report = fleet.run(&campaign.space(), &Obs::noop());
     println!("{}", report.table());
 
     // Headline: how far from optimal are the polynomial-time solvers on

@@ -100,7 +100,7 @@ proptest! {
         bound in 5.0f64..60.0,
     ) {
         let inst = instance(seed, nodes, 2, 5, 10);
-        if let Ok(point) = greedy_power::solve(&inst, bound) {
+        if let Ok(point) = greedy_power::solve(&inst, bound, &mut SolveArena::default()) {
             prop_assert!(point.cost <= bound + 1e-9);
             // And the solution must be model-valid.
             let sol = Solution::evaluate(&inst, &point.placement).unwrap();

@@ -63,7 +63,7 @@ fn exact_dp_dominates_every_baseline_and_heuristic() {
             let exact = dp.best_within(bound).map(|c| c.power);
 
             // GR baseline.
-            if let Ok(gr) = greedy_power::solve(&inst, bound) {
+            if let Ok(gr) = greedy_power::solve(&inst, bound, &mut SolveArena::default()) {
                 let exact = exact.expect("GR feasible ⇒ exact DP feasible");
                 assert!(
                     exact <= gr.power + 1e-6,
