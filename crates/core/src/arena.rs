@@ -10,7 +10,7 @@
 //!   instance by sweep-style callers ([`crate::greedy_power::paper_sweep`]);
 //! * [`SolveArena::greedy`] — [`GreedyScratch`] for the `GR` kernel;
 //! * [`SolveArena::pruned`] — [`PrunedScratch`] for the dominance-pruned DP
-//!   ([`crate::dp_power_pruned::PrunedPowerDp::run_in`]);
+//!   ([`crate::dp_power_pruned::PrunedPowerDp::run_for`]);
 //! * [`SolveArena::full`] — [`FullScratch`] for the full-state §4.3 DP
 //!   ([`crate::dp_power::PowerDp::run_in`]).
 //!

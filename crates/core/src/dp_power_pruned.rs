@@ -42,11 +42,42 @@
 //!   decisions cannot have changed.
 //!
 //! A batch solve is an incremental solve with every position dirty. The
-//! scratch is borrowed by [`PrunedPowerDp::run_in`] and returned by
+//! scratch is borrowed by [`PrunedPowerDp::run_for`] and returned by
 //! [`PrunedPowerDp::recycle`], so fleet batches solve with zero
 //! steady-state allocation. Results are bit-identical to the pre-flat
 //! pointer traversal (the test suite's `reference::pruned_solve` pins
 //! this).
+//!
+//! ## Two front kinds
+//!
+//! What a table must keep depends on the budget, so the cost bound a solve
+//! starts with fixes the kind of front for the whole solve:
+//!
+//! * **3-D (flow, cost, power)**, above: any finite bound, and
+//!   [`PrunedPowerDp::run_in`], which answers every budget (amortized
+//!   sweeps, [`PrunedPowerDp::pareto_front`]). This is Theorem 3's
+//!   `MinPower-BoundedCost` (§4.3). At α > 1 the front grows with subtree
+//!   size, so the solve is about quadratic in the tree.
+//! * **(flow, power), cost as the tie-break**: a bound of +∞, the paper's
+//!   `MinPower` (§4.2). An entry `e` is dropped when a kept `k` with
+//!   `k.flow ≤ e.flow` either 3-D-dominates it or has
+//!   `k.power + S < e.power`. About `W_M + 1` entries per table survive,
+//!   so the solve is `O(n·W_M²)`: pseudo-polynomial, as Theorem 2's
+//!   2-Partition reduction requires.
+//!
+//! The slack `S = 2·(n + 1)·n·P_max·ε` (n positions, `P_max` the largest
+//! server power, ε = `f64::EPSILON`) keeps the cost tie-break exact when
+//! power sums round. Powers are ≥ 0 and a placement has at most one server
+//! per position, so every partial power sum is ≤ n·P_max, and one `f64`
+//! addition moves the gap between two such sums by at most n·P_max·ε. A
+//! table entry passes through at most 2n − 1 additions before the root
+//! scan: at most two per merge on its way up, plus the root server. So
+//! every completion of `k` ends strictly below the same completion of
+//! `e`, and `e` can neither win nor tie. The relation is transitive, so
+//! the prune stays a pure function of the candidate set (mid-merge
+//! compaction relies on that), and the optimum's cost and power are
+//! bit-identical to the 3-D solve's. Tied optima may put servers at
+//! different but equivalent positions.
 
 use replica_model::{le_tolerant, Instance, ModeIdx, ModelError, Placement};
 use replica_tree::FlatTree;
@@ -91,6 +122,11 @@ pub struct PrunedScratch {
     wpower: Vec<f64>,
     /// The global Eq. 4 deletion constant `Σᵢ deleteᵢ·Eᵢ`.
     delete_constant: f64,
+    /// The front kind the tables hold, fixed by [`PrunedScratch::forward`].
+    front: Front,
+    /// The cost bound the tables were built for: they answer every budget
+    /// at or above it.
+    built_for: f64,
     /// `tables[p]`: the Pareto table of position `p`.
     tables: Vec<Vec<Triple>>,
     /// `prefixes[p][k - 1]`: the fold accumulator of position `p` before
@@ -123,21 +159,57 @@ struct Served {
     wpower: f64,
 }
 
+/// Which Pareto front the tables hold (see the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Front {
+    /// (flow, cost, power): answers every budget.
+    #[default]
+    Full,
+    /// (flow, power) with cost as the tie-break: answers an unbounded
+    /// budget only. `slack` is the certified rounding bound `S`.
+    MinPower { slack: f64 },
+}
+
+impl Front {
+    /// The kind a solve for budgets `≥ cost_bound` needs: the (flow,
+    /// power) front for +∞, the 3-D front otherwise. `positions` and
+    /// `wpower` size the slack.
+    fn for_bound(cost_bound: f64, positions: usize, wpower: &[f64]) -> Front {
+        if cost_bound != f64::INFINITY {
+            return Front::Full;
+        }
+        let n = positions as f64;
+        let pmax = wpower.iter().fold(0.0, |a: f64, &b| a.max(b));
+        Front::MinPower {
+            slack: 2.0 * (n + 1.0) * n * pmax * f64::EPSILON,
+        }
+    }
+}
+
 /// A completed pruned-DP run.
 pub struct PrunedPowerDp<'a> {
     instance: &'a Instance,
     scratch: PrunedScratch,
 }
 
-/// Flow ceiling up to which [`prune_into`] uses the O(1) bucketed
+/// Flow ceiling up to which [`prune_full_into`] uses the O(1) bucketed
 /// dominance test; larger capacities fall back to the front scan.
 const MAX_FLOW_BUCKETS: u64 = 4096;
 
-/// Prunes to the 3-D Pareto front (minimal flow/cost/power), keeping the
-/// survivors in `entries`; `kept` is the filter buffer. `wmax` is the
-/// instance's flow ceiling — every entry's flow is ≤ `wmax` by
-/// construction (infeasible combinations are never pushed).
-fn prune_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64) {
+/// Prunes to `front`, keeping the survivors in `entries`; `kept` is the
+/// filter buffer. `wmax` is the instance's flow ceiling — every entry's
+/// flow is ≤ `wmax` by construction (infeasible combinations are never
+/// pushed).
+fn prune_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64, front: Front) {
+    match front {
+        Front::Full => prune_full_into(entries, kept, wmax),
+        Front::MinPower { slack } => prune_min_power_into(entries, kept, slack),
+    }
+}
+
+/// Prunes to the 3-D Pareto front (minimal flow/cost/power), sorted by
+/// cost.
+fn prune_full_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64) {
     // Unstable sort is safe: comparator-equal triples are bit-identical
     // (total_cmp is a total order on the raw representation), so any
     // permutation of an equal run yields the same sequence.
@@ -179,11 +251,43 @@ fn prune_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, wmax: u64) {
     std::mem::swap(entries, kept);
 }
 
+/// Prunes to the (flow, power) front with cost as the tie-break, sorted
+/// by power: drops `e` when a kept `k` with `k.flow ≤ e.flow` either
+/// 3-D-dominates it or has `k.power + slack < e.power` (the module docs
+/// prove both safe). Kept entries arrive in power order, so those more
+/// than `slack` below `e` form a growing prefix, summarized by its minimum
+/// flow; only the short window above it is scanned for 3-D dominance.
+fn prune_min_power_into(entries: &mut Vec<Triple>, kept: &mut Vec<Triple>, slack: f64) {
+    // Unstable sort is safe for the same reason as in `prune_full_into`.
+    entries.sort_unstable_by(|a, b| {
+        a.power
+            .total_cmp(&b.power)
+            .then(a.cost.total_cmp(&b.cost))
+            .then(a.flow.cmp(&b.flow))
+    });
+    kept.clear();
+    let (mut far, mut far_flow) = (0, u64::MAX);
+    for &e in entries.iter() {
+        while far < kept.len() && kept[far].power + slack < e.power {
+            far_flow = far_flow.min(kept[far].flow);
+            far += 1;
+        }
+        let dominated = (far > 0 && far_flow <= e.flow)
+            || kept[far..]
+                .iter()
+                .any(|k| k.flow <= e.flow && k.cost <= e.cost && k.power <= e.power);
+        if !dominated {
+            kept.push(e);
+        }
+    }
+    std::mem::swap(entries, kept);
+}
+
 /// Allocating [`prune_into`] (unit tests).
 #[cfg(test)]
-fn prune(entries: &mut Vec<Triple>, wmax: u64) {
+fn prune(entries: &mut Vec<Triple>, wmax: u64, front: Front) {
     let mut kept = Vec::with_capacity(entries.len().min(64));
-    prune_into(entries, &mut kept, wmax);
+    prune_into(entries, &mut kept, wmax, front);
 }
 
 /// Prunes served outcomes to their component-wise Pareto front (see
@@ -224,8 +328,8 @@ struct MergeScratch {
     /// Bucket boundaries: entries with flow ≤ f are `by_flow[..starts[f + 1]]`.
     starts: Vec<usize>,
     cursor: Vec<usize>,
-    /// `stairs[f]`: the last compaction's front restricted to flow ≤ f,
-    /// as a (cost ascending, power strictly descending) staircase. A
+    /// `stairs[f]`: the last compaction's 3-D front restricted to flow
+    /// ≤ f, as a (cost ascending, power strictly descending) staircase. A
     /// candidate dominated by it can be dropped *before* entering the
     /// sort buffer — the dominating front entry is still in `out`, so
     /// the final front is unchanged.
@@ -245,8 +349,8 @@ fn stair_dominated(stairs: &[Vec<(f64, f64)>], flow: u64, cost: f64, power: f64)
     i > 0 && s[i - 1].1 <= power
 }
 
-/// Rebuilds the per-flow staircases from a cost-sorted front (the
-/// [`prune_into`] output order). Walking the front in cost order means a
+/// Rebuilds the per-flow staircases from a cost-sorted 3-D front (the
+/// [`prune_full_into`] output order). Walking the front in cost order means a
 /// bucket push only needs a power check against the bucket's last entry;
 /// buckets are cumulative in flow, so once an entry stops improving one
 /// bucket it cannot improve any later one.
@@ -269,7 +373,7 @@ fn rebuild_stairs(front: &[Triple], wmax: usize, stairs: &mut Vec<Vec<(f64, f64)
 
 /// One merge step into caller buffers (the forward-pass kernel).
 ///
-/// The resulting table is the 3-D Pareto front of every combination, and
+/// The resulting table is the `front` of every combination, and
 /// [`prune_into`] is a pure function of the candidate *set* — so the
 /// enumeration below may drop candidates it can prove dominated, visit
 /// pairs in any order, and compact `out` mid-flight without changing a
@@ -291,9 +395,14 @@ fn rebuild_stairs(front: &[Triple], wmax: usize, stairs: &mut Vec<Vec<(f64, f64)
 ///   later candidate it dominates is dropped by one binary search
 ///   instead of being pushed, sorted, and discarded — near the root
 ///   well over 99% of candidates die here.
+///
+/// The last two serve 3-D merges with `wmax ≤ MAX_FLOW_BUCKETS`. (flow,
+/// power) fronts hold about `W_M + 1` entries, so their merges take the
+/// plain pair loop: bucketing would cost more per merge than it saves.
 #[allow(clippy::too_many_arguments)]
 fn merge_into(
     instance: &Instance,
+    front: Front,
     wcost: &[f64],
     wpower: &[f64],
     child_pos: usize,
@@ -335,7 +444,7 @@ fn merge_into(
     // the inner loop and infeasible pairs are never visited at all.
     out.clear();
     let mut compact_at = COMPACT_FLOOR;
-    if wmax <= MAX_FLOW_BUCKETS {
+    if wmax <= MAX_FLOW_BUCKETS && front == Front::Full {
         let w = wmax as usize;
         // Counting-sort `child` by flow; `starts[f]` = first index of
         // bucket `f`, so entries with flow ≤ f are `by_flow[..starts[f + 1]]`.
@@ -391,7 +500,7 @@ fn merge_into(
                 }
             }
             if out.len() >= compact_at {
-                prune_into(out, kept, wmax);
+                prune_full_into(out, kept, wmax);
                 compact_at = COMPACT_FLOOR.max(out.len() * 4);
                 rebuild_stairs(out, w, &mut mscratch.stairs);
             }
@@ -417,12 +526,12 @@ fn merge_into(
                 });
             }
             if out.len() >= compact_at {
-                prune_into(out, kept, wmax);
+                prune_into(out, kept, wmax, front);
                 compact_at = COMPACT_FLOOR.max(out.len() * 4);
             }
         }
     }
-    prune_into(out, kept, wmax);
+    prune_into(out, kept, wmax, front);
 }
 
 /// The fold base of position `p`: its direct client load, no server yet.
@@ -435,9 +544,10 @@ fn fold_base(flat: &FlatTree, p: usize) -> [Triple; 1] {
 }
 
 impl PrunedScratch {
-    /// The batch forward pass: lays `instance` out, fills the weights,
+    /// The batch forward pass for budgets `≥ cost_bound`: lays `instance`
+    /// out, fills the weights, picks the front kind from `cost_bound`,
     /// folds every position from its base and scans the root.
-    pub(crate) fn forward(&mut self, instance: &Instance) {
+    pub(crate) fn forward(&mut self, instance: &Instance, cost_bound: f64) {
         let modes = instance.modes();
         let cost_model = instance.cost();
         let pre = instance.pre_existing();
@@ -463,6 +573,8 @@ impl PrunedScratch {
         }
         self.delete_constant = pre.iter().map(|(_, o)| cost_model.deleted_server(o)).sum();
         let n = self.flat.len();
+        self.front = Front::for_bound(cost_bound, n, &self.wpower);
+        self.built_for = cost_bound;
         self.tables.resize_with(n, Vec::new);
         self.prefixes.resize_with(n, Vec::new);
         for p in 0..n {
@@ -487,6 +599,7 @@ impl PrunedScratch {
             flat,
             wcost,
             wpower,
+            front,
             tables,
             prefixes,
             next,
@@ -526,6 +639,7 @@ impl PrunedScratch {
             let child = children[k] as usize;
             merge_into(
                 instance,
+                *front,
                 wcost,
                 wpower,
                 child,
@@ -581,7 +695,13 @@ impl PrunedScratch {
 
     /// Minimum-power candidate with cost within `cost_bound` (ties broken
     /// by cost — deterministic because `total_cmp` is a total order).
+    /// `cost_bound` must be one the tables were built for.
     pub(crate) fn best_within(&self, cost_bound: f64) -> Option<&PrunedCandidate> {
+        debug_assert!(
+            cost_bound >= self.built_for || cost_bound.is_nan(),
+            "tables built for budgets ≥ {} cannot answer {cost_bound}",
+            self.built_for
+        );
         self.candidates
             .iter()
             .filter(|c| le_tolerant(c.cost, cost_bound))
@@ -698,17 +818,31 @@ impl PrunedScratch {
 }
 
 impl<'a> PrunedPowerDp<'a> {
-    /// Runs the forward pass and the root scan with one-shot scratch.
+    /// Runs the forward pass and the root scan with one-shot scratch,
+    /// answering every budget.
     pub fn run(instance: &'a Instance) -> Result<Self, ModelError> {
         Self::run_in(instance, &mut PrunedScratch::default())
     }
 
-    /// Runs the forward pass and the root scan, borrowing `scratch`'s
-    /// buffers. Hand them back with [`PrunedPowerDp::recycle`] once done
-    /// (the error path returns them immediately).
+    /// Runs the forward pass and the root scan for every budget (the 3-D
+    /// front), borrowing `scratch`'s buffers.
     pub fn run_in(instance: &'a Instance, scratch: &mut PrunedScratch) -> Result<Self, ModelError> {
+        Self::run_for(instance, f64::NEG_INFINITY, scratch)
+    }
+
+    /// Runs the forward pass and the root scan with the fronts that
+    /// [`PrunedPowerDp::best_within`] needs for every budget
+    /// `b ≥ cost_bound`: the (flow, power) front when `cost_bound` is +∞,
+    /// the 3-D front otherwise (see the module docs). Borrows `scratch`'s
+    /// buffers; hand them back with [`PrunedPowerDp::recycle`] once done
+    /// (the error path returns them immediately).
+    pub fn run_for(
+        instance: &'a Instance,
+        cost_bound: f64,
+        scratch: &mut PrunedScratch,
+    ) -> Result<Self, ModelError> {
         let mut s = std::mem::take(scratch);
-        s.forward(instance);
+        s.forward(instance, cost_bound);
         if s.candidates.is_empty() {
             *scratch = s;
             return Err(ModelError::Infeasible(
@@ -736,7 +870,8 @@ impl<'a> PrunedPowerDp<'a> {
         self.scratch.table_entries()
     }
 
-    /// Minimum-power candidate with cost within `cost_bound`.
+    /// Minimum-power candidate with cost within `cost_bound`, which must
+    /// be at or above the bound the run was built for.
     pub fn best_within(&self, cost_bound: f64) -> Option<&PrunedCandidate> {
         self.scratch.best_within(cost_bound)
     }
@@ -781,7 +916,7 @@ pub fn solve_min_power_bounded_cost_in(
     cost_bound: f64,
     scratch: &mut PrunedScratch,
 ) -> Result<(Placement, f64, f64), ModelError> {
-    let dp = PrunedPowerDp::run_in(instance, scratch)?;
+    let dp = PrunedPowerDp::run_for(instance, cost_bound, scratch)?;
     let best = match dp.best_within(cost_bound) {
         Some(&b) => b,
         None => {
@@ -864,8 +999,8 @@ mod tests {
         ];
         // Exercise both dominance paths: the bucketed test and the scan.
         let mut scanned = entries.clone();
-        prune(&mut entries, 10);
-        prune(&mut scanned, MAX_FLOW_BUCKETS + 1);
+        prune(&mut entries, 10, Front::Full);
+        prune(&mut scanned, MAX_FLOW_BUCKETS + 1, Front::Full);
         assert_eq!(entries, scanned);
         assert_eq!(entries.len(), 4);
         assert!(entries.contains(&Triple {
@@ -888,6 +1023,62 @@ mod tests {
             cost: 9.0,
             power: 9.0
         }));
+    }
+
+    #[test]
+    fn min_power_prune_drops_only_beyond_the_slack() {
+        let n = 1000;
+        let front = Front::for_bound(f64::INFINITY, n, &[137.5, 1012.5]);
+        assert_eq!(
+            Front::for_bound(1e6, n, &[137.5, 1012.5]),
+            Front::Full,
+            "a finite bound keeps the 3-D front"
+        );
+        let Front::MinPower { slack } = front else {
+            panic!("an unbounded solve keeps the (flow, power) front");
+        };
+        assert_eq!(slack, 2.0 * 1001.0 * 1000.0 * 1012.5 * f64::EPSILON);
+        let cheap = Triple {
+            flow: 5,
+            cost: 1.0,
+            power: 5000.0,
+        };
+        // Lower in power by less than the slack: the cheaper entry of the
+        // same flow may still win the cost tie-break once sums round.
+        let near = Triple {
+            cost: 2.0,
+            power: cheap.power - slack / 2.0,
+            ..cheap
+        };
+        assert!(near.power < cheap.power);
+        let mut entries = vec![cheap, near];
+        prune(&mut entries, 10, front);
+        assert_eq!(entries, vec![near, cheap]);
+        // Lower by more than the slack: it drops the cheaper entry, and so
+        // does any lower power at a flow no larger.
+        let far = Triple {
+            cost: 2.0,
+            power: cheap.power - 2.0 * slack,
+            ..cheap
+        };
+        for lower in [far, Triple { flow: 4, ..far }] {
+            let mut entries = vec![cheap, lower];
+            prune(&mut entries, 10, front);
+            assert_eq!(entries, vec![lower]);
+        }
+        // A larger flow protects it; within the slack, 3-D dominance
+        // still drops.
+        let mut entries = vec![cheap, Triple { flow: 6, ..far }];
+        prune(&mut entries, 10, front);
+        assert_eq!(entries.len(), 2);
+        let dominated = Triple {
+            flow: 6,
+            cost: 1.5,
+            power: cheap.power + slack / 2.0,
+        };
+        let mut entries = vec![dominated, cheap, cheap];
+        prune(&mut entries, 10, front);
+        assert_eq!(entries, vec![cheap]);
     }
 
     #[test]
@@ -1006,11 +1197,11 @@ mod tests {
         }
         assert_eq!(batch[1], batch[4], "batch re-solves: {batch:?}");
 
-        let mut dp = crate::IncrementalDp::new(inst);
+        let mut dp = crate::IncrementalDp::new(inst, f64::INFINITY);
         let mut epochs = Vec::new();
         for _ in 0..5 {
             dp.mark_all();
-            dp.resolve(f64::INFINITY).unwrap();
+            dp.resolve().unwrap();
             epochs.push(retained(&dp.scratch));
         }
         assert_eq!(epochs[1], epochs[4], "incremental epochs: {epochs:?}");

@@ -21,12 +21,20 @@
 //! first child whose table actually changed. Untouched children feed the
 //! refold bit-identical inputs, so by induction every recomputed table —
 //! and hence the root scan, the budget filter, and the backtracked
-//! placement — is **bit-identical to a from-scratch solve**. The backtrack
+//! placement — is **bit-identical to a from-scratch solve** under the same
+//! cost bound. The backtrack
 //! is the batch one too, seeded with the previous placement and a visitor
 //! that skips subtrees whose decisions cannot have changed. This is not a
 //! tolerance claim; the equivalence battery
 //! (`tests/incremental_equivalence.rs`) pins `to_bits` equality on cost and
 //! power plus placement equality after every epoch.
+//!
+//! The cost bound is fixed at construction, because it decides which kind
+//! of Pareto front the cached tables hold (see
+//! [`dp_power_pruned`](crate::dp_power_pruned)): +∞ keeps the small
+//! (flow, power) fronts of the unbounded `MinPower` objective, any other
+//! bound the 3-D fronts a budget needs. A caller that needs another bound
+//! builds another solver.
 //!
 //! When an epoch dirties a large fraction of the tree, the incremental
 //! recompute approaches a full solve; for latency-bound callers
@@ -59,15 +67,17 @@ use replica_tree::{ClientId, DirtySet};
 ///     .build()
 ///     .unwrap();
 ///
-/// let mut dp = IncrementalDp::new(instance);
-/// let (_, cost0, _) = dp.resolve(f64::INFINITY).unwrap();
+/// let mut dp = IncrementalDp::new(instance, f64::INFINITY);
+/// let (_, cost0, _) = dp.resolve().unwrap();
 /// dp.set_requests(k, 9);
-/// let (_, cost1, _) = dp.resolve(f64::INFINITY).unwrap();
+/// let (_, cost1, _) = dp.resolve().unwrap();
 /// assert!(cost0 > 0.0 && cost1 > 0.0);
 /// assert_eq!(dp.last_recomputed(), 2); // a + root, nothing else
 /// ```
 pub struct IncrementalDp {
     instance: Instance,
+    /// The cost bound every epoch solves under (fixes the front kind).
+    cost_bound: f64,
     /// The forward-pass state: layout, weights, tables (current except at
     /// dirty positions), fold prefixes, merge buffers, root candidates.
     pub(crate) scratch: PrunedScratch,
@@ -105,14 +115,16 @@ fn target_bits(t: &Triple) -> (u64, u64, u64) {
 }
 
 impl IncrementalDp {
-    /// Builds the solver and runs the initial full forward pass (the batch
-    /// one), so the first [`IncrementalDp::resolve`] is table-warm.
-    pub fn new(instance: Instance) -> Self {
+    /// Builds the solver for `cost_bound` and runs the initial full
+    /// forward pass (the batch one), so the first
+    /// [`IncrementalDp::resolve`] is table-warm.
+    pub fn new(instance: Instance, cost_bound: f64) -> Self {
         let mut scratch = PrunedScratch::default();
-        scratch.forward(&instance);
+        scratch.forward(&instance, cost_bound);
         let n = scratch.flat.len();
         IncrementalDp {
             instance,
+            cost_bound,
             scratch,
             dirty: DirtySet::with_len(n),
             sweep: Vec::new(),
@@ -195,10 +207,12 @@ impl IncrementalDp {
 
     /// Re-solves exactly: sweeps the dirty closure bottom-up through the
     /// shared fold step, rescans the root, and backtracks the
-    /// minimum-power placement within `cost_bound`. Bit-identical to a
-    /// fresh [`solve_min_power_bounded_cost`](crate::dp_power_pruned::solve_min_power_bounded_cost)
-    /// on the same demand.
-    pub fn resolve(&mut self, cost_bound: f64) -> Result<(Placement, f64, f64), ModelError> {
+    /// minimum-power placement within the construction-time cost bound.
+    /// Bit-identical to a fresh
+    /// [`solve_min_power_bounded_cost`](crate::dp_power_pruned::solve_min_power_bounded_cost)
+    /// under that bound on the same demand.
+    pub fn resolve(&mut self) -> Result<(Placement, f64, f64), ModelError> {
+        let cost_bound = self.cost_bound;
         self.dirty.sweep(&self.scratch.flat, &mut self.sweep);
         self.last_recomputed = self.sweep.len();
         for &p in &self.sweep {
@@ -273,16 +287,15 @@ impl IncrementalDp {
     }
 
     /// Latency-bound epoch: the capacity-swept greedy baseline (`GR`,
-    /// §5.2) warm-started on the incrementally-maintained flat layout.
+    /// §5.2) warm-started on the incrementally-maintained flat layout,
+    /// within the construction-time cost bound.
     ///
     /// Dirty marks are deliberately **not** cleared — the tables stay
     /// stale, and the next [`IncrementalDp::resolve`] recomputes every
     /// position dirtied since the last exact epoch, restoring bit-exact
     /// state as if the fallback had never run.
-    pub fn greedy_fallback(
-        &mut self,
-        cost_bound: f64,
-    ) -> Result<(Placement, f64, f64), ModelError> {
+    pub fn greedy_fallback(&mut self) -> Result<(Placement, f64, f64), ModelError> {
+        let cost_bound = self.cost_bound;
         let lo = self.instance.modes().capacity(0);
         let hi = self.instance.max_capacity();
         let mut best: Option<(Placement, f64, f64)> = None;
@@ -344,11 +357,11 @@ mod tests {
     }
 
     /// Bit-compares an incremental epoch against a from-scratch solve of
-    /// the same (mutated) instance.
-    fn assert_matches_fresh(dp: &mut IncrementalDp, bound: f64) {
+    /// the same (mutated) instance under the solver's bound.
+    fn assert_matches_fresh(dp: &mut IncrementalDp) {
         let fresh_instance = dp.instance().clone();
-        let fresh = solve_min_power_bounded_cost(&fresh_instance, bound);
-        let incr = dp.resolve(bound);
+        let fresh = solve_min_power_bounded_cost(&fresh_instance, dp.cost_bound);
+        let incr = dp.resolve();
         match (fresh, incr) {
             (Ok((fp, fc, fw)), Ok((ip, ic, iw))) => {
                 assert_eq!(fp, ip, "placement diverged");
@@ -364,8 +377,8 @@ mod tests {
     fn single_update_recomputes_only_the_root_path() {
         let inst = instance(7, 60);
         let clients = inst.tree().client_count();
-        let mut dp = IncrementalDp::new(inst);
-        assert_matches_fresh(&mut dp, f64::INFINITY);
+        let mut dp = IncrementalDp::new(inst, f64::INFINITY);
+        assert_matches_fresh(&mut dp);
         assert_eq!(dp.last_recomputed(), 0, "clean epoch recomputes nothing");
 
         let mut rng = StdRng::seed_from_u64(1);
@@ -373,7 +386,7 @@ mod tests {
             let c = ClientId::from_index(rng.random_range(0..clients));
             let v = rng.random_range(0..4u64);
             dp.set_requests(c, v);
-            assert_matches_fresh(&mut dp, f64::INFINITY);
+            assert_matches_fresh(&mut dp);
             assert!(
                 dp.last_recomputed() <= dp.node_count(),
                 "closure cannot exceed the tree"
@@ -385,15 +398,18 @@ mod tests {
     fn batched_updates_and_bounds_match_fresh() {
         let inst = instance(11, 45);
         let clients = inst.tree().client_count();
-        let mut dp = IncrementalDp::new(inst);
-        let mut rng = StdRng::seed_from_u64(2);
-        for epoch in 0..8 {
-            for _ in 0..5 {
-                let c = ClientId::from_index(rng.random_range(0..clients));
-                dp.set_requests(c, rng.random_range(0..5u64));
+        let (_, start_cost, _) = solve_min_power_bounded_cost(&inst, f64::INFINITY).unwrap();
+        // One solver per budget, fed the same delta batches.
+        for factor in [1.0, 0.6, 0.0] {
+            let mut dp = IncrementalDp::new(inst.clone(), factor * start_cost);
+            let mut rng = StdRng::seed_from_u64(2);
+            for _ in 0..8 {
+                for _ in 0..5 {
+                    let c = ClientId::from_index(rng.random_range(0..clients));
+                    dp.set_requests(c, rng.random_range(0..5u64));
+                }
+                assert_matches_fresh(&mut dp);
             }
-            let bound = if epoch % 2 == 0 { f64::INFINITY } else { 40.0 };
-            assert_matches_fresh(&mut dp, bound);
         }
     }
 
@@ -401,14 +417,14 @@ mod tests {
     fn greedy_fallback_leaves_exact_state_reconcilable() {
         let inst = instance(13, 50);
         let clients = inst.tree().client_count();
-        let mut dp = IncrementalDp::new(inst);
+        let mut dp = IncrementalDp::new(inst, f64::INFINITY);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..15 {
             let c = ClientId::from_index(rng.random_range(0..clients));
             dp.set_requests(c, rng.random_range(0..6u64));
         }
         let dirty_before = dp.dirty_len();
-        let (placement, cost, power) = dp.greedy_fallback(f64::INFINITY).unwrap();
+        let (placement, cost, power) = dp.greedy_fallback().unwrap();
         // The fallback answers from the live layout but must not disturb
         // the exact solver's bookkeeping.
         assert_eq!(dp.dirty_len(), dirty_before);
@@ -416,16 +432,16 @@ mod tests {
         assert!((sol.cost - cost).abs() < 1e-9);
         assert!((sol.power - power).abs() < 1e-9);
         // And the next exact epoch reconciles bit-exactly.
-        assert_matches_fresh(&mut dp, f64::INFINITY);
+        assert_matches_fresh(&mut dp);
     }
 
     #[test]
     fn mark_all_forces_a_full_epoch() {
         let inst = instance(17, 30);
-        let mut dp = IncrementalDp::new(inst);
+        let mut dp = IncrementalDp::new(inst, f64::INFINITY);
         dp.mark_all();
         assert!((dp.dirty_fraction() - 1.0).abs() < 1e-12);
-        assert_matches_fresh(&mut dp, f64::INFINITY);
+        assert_matches_fresh(&mut dp);
         assert_eq!(dp.last_recomputed(), dp.node_count());
     }
 }

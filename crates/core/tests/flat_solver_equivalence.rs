@@ -4,22 +4,24 @@
 //!
 //! The flat conversion promised *bit-identical* results — not "equally
 //! optimal", the same placements with the same `f64` bit patterns — and
-//! this battery is where that promise is pinned: random topologies,
-//! pre-existing replica sets, one/two/three-mode instances, and finite as
-//! well as infinite cost budgets, all solved through one long-lived
-//! [`SolveArena`] so the scratch carries arbitrary history between cases
-//! (exactly what fleet worker threads do).
+//! this battery is where that promise is pinned: the shared random
+//! instances of `support/instances.rs` (topologies, pre-existing replica
+//! sets, one/two/three-mode instances, power, cost and capacity regimes),
+//! and finite as well as infinite cost budgets, all solved through one
+//! long-lived [`SolveArena`] so the scratch carries arbitrary history
+//! between cases (exactly what fleet worker threads do).
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use replica_core::{dp_power, dp_power_pruned, greedy, greedy_power, SolveArena};
-use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting};
-use replica_tree::{generate, GeneratorConfig};
+use replica_model::Instance;
 use std::cell::RefCell;
 
+#[path = "support/instances.rs"]
+mod instances;
 #[path = "support/reference.rs"]
 mod reference;
+
+use instances::arbitrary_instance;
 
 thread_local! {
     /// One arena across every proptest case on this thread — deliberately
@@ -29,33 +31,6 @@ thread_local! {
 
 fn with_arena<T>(f: impl FnOnce(&mut SolveArena) -> T) -> T {
     ARENA.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// A random power instance: paper-style tree, arbitrary mode set, random
-/// pre-existing replicas at a random original mode. `max_nodes` caps the
-/// tree size (the full-state DP's state space is combinatorial, so its
-/// battery runs on smaller trees than the polynomial paths).
-fn arbitrary_instance(max_nodes: usize) -> impl Strategy<Value = Instance> {
-    (2usize..max_nodes, 0usize..3, 0usize..3, 0u64..10_000).prop_map(
-        |(nodes, mode_choice, pre_choice, seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let tree = generate::random_tree(&GeneratorConfig::paper_power(nodes), &mut rng);
-            let capacities = [vec![10u64], vec![5, 10], vec![4, 7, 10]][mode_choice].clone();
-            let modes = ModeSet::new(capacities).unwrap();
-            let pre_count = [0, 1, nodes / 3][pre_choice].min(nodes);
-            let pre = generate::random_pre_existing(&tree, pre_count, &mut rng);
-            let power = PowerModel::paper_experiment3(&modes);
-            let orig_mode = seed as usize % modes.count();
-            let cost = CostModel::uniform(modes.count(), 0.1, 0.01, 0.001);
-            Instance::builder(tree)
-                .modes(modes)
-                .pre_existing(PreExisting::at_mode(pre, orig_mode))
-                .cost(cost)
-                .power(power)
-                .build()
-                .unwrap()
-        },
-    )
 }
 
 /// Cost budgets exercised per instance: unconstrained, a fraction of the
@@ -99,13 +74,23 @@ proptest! {
 
     /// The dominance-pruned DP through the flat layout and a dirty arena
     /// == the pre-flat reference, bit for bit, across all budget regimes.
+    /// The unbounded budget goes through the every-budget route, so this
+    /// pins the 3-D front there too (`min_power_front` pins the (flow,
+    /// power) front that an unbounded solve builds).
     #[test]
     fn pruned_flat_matches_reference_bitwise(instance in arbitrary_instance(45)) {
         for bound in budgets_for(&instance) {
             let flat = with_arena(|arena| {
-                dp_power_pruned::solve_min_power_bounded_cost_in(
-                    &instance, bound, &mut arena.pruned,
-                )
+                if bound != f64::INFINITY {
+                    return dp_power_pruned::solve_min_power_bounded_cost_in(
+                        &instance, bound, &mut arena.pruned,
+                    );
+                }
+                let dp = dp_power_pruned::PrunedPowerDp::run_in(&instance, &mut arena.pruned)?;
+                let best = *dp.best_within(bound).expect("a feasible run has candidates");
+                let placement = dp.reconstruct(&best);
+                dp.recycle(&mut arena.pruned);
+                Ok((placement?, best.cost, best.power))
             });
             match (flat, reference::pruned_solve(&instance, bound)) {
                 (Ok((fp, fc, fw)), Ok((rp, rc, rw))) => {

@@ -6,11 +6,14 @@
 //! placement, and `to_bits`-equal cost and power. This battery pins that
 //! promise under adversarial conditions:
 //!
-//! * random topologies, mode sets, and pre-existing replica sets;
+//! * the shared random instances of `support/instances.rs`: topologies,
+//!   mode sets, pre-existing replica sets, power, cost and capacity
+//!   regimes;
 //! * random delta sequences (including no-op writes and zeroed demand)
 //!   applied in epochs of varying width, so dirty closures range from one
 //!   root path to most of the tree;
-//! * finite mid-frontier budgets as well as unconstrained epochs;
+//! * finite mid-frontier budgets as well as unconstrained epochs, each
+//!   budget with its own solver (the bound is fixed at construction);
 //! * the from-scratch oracle solved through one **dirty, long-lived**
 //!   [`PrunedScratch`] shared across all proptest cases on the thread —
 //!   exactly the arena-reuse regime the fleet runs — so bit-equality also
@@ -19,13 +22,16 @@
 //!   leave the exact state reconcilable (dirty marks intact).
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use replica_core::dp_power_pruned::{solve_min_power_bounded_cost_in, PrunedScratch};
 use replica_core::IncrementalDp;
-use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting};
-use replica_tree::{generate, ClientId, GeneratorConfig};
+use replica_model::Instance;
+use replica_tree::ClientId;
 use std::cell::RefCell;
+
+#[path = "support/instances.rs"]
+mod instances;
+
+use instances::arbitrary_instance;
 
 thread_local! {
     /// One from-scratch scratch across every case — deliberately dirty.
@@ -41,30 +47,6 @@ fn fresh_solve(
     })
 }
 
-/// Instance parameters kept as raw draws so shrinking stays meaningful.
-fn arbitrary_instance() -> impl Strategy<Value = Instance> {
-    (2usize..40, 0usize..3, 0usize..3, 0u64..10_000).prop_map(
-        |(nodes, mode_choice, pre_choice, seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let tree = generate::random_tree(&GeneratorConfig::paper_power(nodes), &mut rng);
-            let capacities = [vec![10u64], vec![5, 10], vec![4, 7, 10]][mode_choice].clone();
-            let modes = ModeSet::new(capacities).unwrap();
-            let pre_count = [0, 1, nodes / 3][pre_choice].min(nodes);
-            let pre = generate::random_pre_existing(&tree, pre_count, &mut rng);
-            let power = PowerModel::paper_experiment3(&modes);
-            let orig_mode = seed as usize % modes.count();
-            let cost = CostModel::uniform(modes.count(), 0.1, 0.01, 0.001);
-            Instance::builder(tree)
-                .modes(modes)
-                .pre_existing(PreExisting::at_mode(pre, orig_mode))
-                .cost(cost)
-                .power(power)
-                .build()
-                .unwrap()
-        },
-    )
-}
-
 /// Epochs of `(client selector, new volume)` deltas. Selectors are reduced
 /// modulo the instance's client count at apply time; volumes include 0
 /// (demand vanishing) and repeats (no-op writes).
@@ -72,10 +54,11 @@ fn delta_epochs() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
     prop::collection::vec(prop::collection::vec((0u32..10_000, 0u64..6), 0..8), 1..6)
 }
 
-/// One incremental epoch vs one from-scratch solve, bit for bit.
+/// One incremental epoch vs one from-scratch solve, bit for bit. `bound`
+/// is the one `dp` was built with.
 fn assert_epoch_matches(dp: &mut IncrementalDp, bound: f64) {
     let fresh = fresh_solve(dp.instance(), bound);
-    let incr = dp.resolve(bound);
+    let incr = dp.resolve();
     match (fresh, incr) {
         (Ok((fp, fc, fw)), Ok((ip, ic, iw))) => {
             assert_eq!(fp, ip, "placement diverged at bound {bound}");
@@ -99,12 +82,12 @@ proptest! {
     /// the mutated instance (unconstrained epochs).
     #[test]
     fn incremental_matches_fresh_after_every_epoch(
-        instance in arbitrary_instance(),
+        instance in arbitrary_instance(40),
         epochs in delta_epochs(),
     ) {
         let clients = instance.tree().client_count();
         prop_assume!(clients > 0);
-        let mut dp = IncrementalDp::new(instance);
+        let mut dp = IncrementalDp::new(instance, f64::INFINITY);
         assert_epoch_matches(&mut dp, f64::INFINITY);
         for epoch in epochs {
             for (pick, volume) in epoch {
@@ -115,28 +98,28 @@ proptest! {
         }
     }
 
-    /// Same, under a mid-frontier budget: the bound is re-derived each
-    /// epoch from the unconstrained optimum, so the filter genuinely bites
-    /// while staying feasible when the instance is.
+    /// Same, under finite budgets: one solver per budget at 1.0, 0.6 and
+    /// 0 × the start instance's unconstrained optimum cost, so the filter
+    /// genuinely bites (and, at 0, refuses) while the 3-D fronts follow
+    /// the deltas.
     #[test]
     fn incremental_matches_fresh_under_budgets(
-        instance in arbitrary_instance(),
+        instance in arbitrary_instance(40),
         epochs in delta_epochs(),
     ) {
         let clients = instance.tree().client_count();
         prop_assume!(clients > 0);
-        let mut dp = IncrementalDp::new(instance);
-        for epoch in epochs {
-            for (pick, volume) in epoch {
-                let c = ClientId::from_index(pick as usize % clients);
-                dp.set_requests(c, volume);
-            }
-            // Probe unconstrained first (itself bit-checked), then squeeze.
-            assert_epoch_matches(&mut dp, f64::INFINITY);
-            if let Ok((_, cost, _)) = fresh_solve(dp.instance(), f64::INFINITY) {
-                assert_epoch_matches(&mut dp, cost);
-                assert_epoch_matches(&mut dp, cost * 0.6);
-                assert_epoch_matches(&mut dp, 0.0);
+        if let Ok((_, cost, _)) = fresh_solve(&instance, f64::INFINITY) {
+            for bound in [cost, cost * 0.6, 0.0] {
+                let mut dp = IncrementalDp::new(instance.clone(), bound);
+                assert_epoch_matches(&mut dp, bound);
+                for epoch in &epochs {
+                    for &(pick, volume) in epoch {
+                        let c = ClientId::from_index(pick as usize % clients);
+                        dp.set_requests(c, volume);
+                    }
+                    assert_epoch_matches(&mut dp, bound);
+                }
             }
         }
     }
@@ -146,12 +129,12 @@ proptest! {
     /// next exact epoch still reconciles bit-identically.
     #[test]
     fn greedy_fallback_epochs_do_not_perturb_exact_state(
-        instance in arbitrary_instance(),
+        instance in arbitrary_instance(40),
         epochs in delta_epochs(),
     ) {
         let clients = instance.tree().client_count();
         prop_assume!(clients > 0);
-        let mut dp = IncrementalDp::new(instance);
+        let mut dp = IncrementalDp::new(instance, f64::INFINITY);
         for (i, epoch) in epochs.into_iter().enumerate() {
             for (pick, volume) in epoch {
                 let c = ClientId::from_index(pick as usize % clients);
@@ -159,7 +142,7 @@ proptest! {
             }
             if i % 2 == 0 {
                 let dirty = dp.dirty_len();
-                let _ = dp.greedy_fallback(f64::INFINITY);
+                let _ = dp.greedy_fallback();
                 assert_eq!(dp.dirty_len(), dirty, "fallback must not clear marks");
             } else {
                 assert_epoch_matches(&mut dp, f64::INFINITY);

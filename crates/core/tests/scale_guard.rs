@@ -20,14 +20,16 @@
 //!   wall-clock cliff.
 //! * **Superlinear (paper Experiment 3, α = 3).** Splitting load across
 //!   more servers keeps *reducing* power while cost grows, so the exact
-//!   frontier itself grows ~linearly with subtree size and merges pay a
-//!   product of frontier sizes. 10⁴ nodes is the honest CI-sized run
-//!   here (minutes-scale at 10⁵; the committed `BENCH_solvers.json`
-//!   curves document that growth).
+//!   3-D (flow, cost, power) frontier grows ~linearly with subtree size
+//!   and merges pay a product of frontier sizes: minutes at 10⁵ nodes
+//!   (the committed `BENCH_solvers.json` curves document that growth).
+//!   An unbounded solve keeps only the (flow, power) front, about
+//!   W_M + 1 entries per table, so it is near-linear in the tree at
+//!   α = 3 too, and 10⁵ nodes is again a sub-second solve.
 //!
 //! Guarded properties:
-//! 1. `dp_power` (the pruned DP) solves a 10⁵-node paper-fat tree in the
-//!    energy-proportional regime, and a 10⁴-node tree in the superlinear
+//! 1. `dp_power` (the pruned DP) solves unbounded 10⁵-node paper-fat
+//!    trees in both regimes, and a 10⁴-node tree in the superlinear
 //!    regime, inside generous wall-clock ceilings — a regression here
 //!    means a lost complexity class, not a few percent.
 //! 2. A warm arena re-solve of the same instance returns bit-identical
@@ -124,7 +126,8 @@ fn guard_solve(instance: &Instance, label: &str, ceiling: Duration) {
 }
 
 /// The paper stopped at 70 nodes; the flat pruned DP must hold 10⁵ in
-/// the energy-proportional regime (observed ~1–2 s; ceiling 20 s).
+/// the energy-proportional regime, unbounded (observed ~50–100 ms;
+/// ceiling 20 s).
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -135,8 +138,9 @@ fn pruned_dp_holds_a_hundred_thousand_nodes() {
     guard_solve(&instance, "10^5 nodes, alpha=1", Duration::from_secs(20));
 }
 
-/// The superlinear regime at 10⁴ nodes — linearly-growing frontiers,
-/// merge products, the works (observed ~5–10 s; ceiling 90 s).
+/// The superlinear regime at 10⁴ nodes, unbounded: (flow, power) fronts
+/// (observed ~5 ms warm, ~20 ms cold; the 3-D fronts take ~0.4 s;
+/// ceiling 90 s).
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -147,6 +151,22 @@ fn pruned_dp_holds_ten_thousand_superlinear_nodes() {
         &experiment3(10_000, 9),
         "10^4 nodes, alpha=3",
         Duration::from_secs(90),
+    );
+}
+
+/// The superlinear regime at 10⁵ nodes, unbounded: out of reach of the
+/// 3-D fronts, near-linear on the (flow, power) fronts (observed
+/// ~45–75 ms; ceiling 20 s, as for α = 1).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only scale guard: run with cargo test --release"
+)]
+fn pruned_dp_holds_a_hundred_thousand_superlinear_nodes() {
+    guard_solve(
+        &experiment3(100_000, 9),
+        "10^5 nodes, alpha=3",
+        Duration::from_secs(20),
     );
 }
 
@@ -228,10 +248,12 @@ fn assert_bits_equal(got: &(Placement, f64, f64), want: &(Placement, f64, f64), 
 
 /// The proptest batteries stop at 45 nodes, below the merge size where
 /// the kernel compacts mid-merge and arms its staircase prefilter. A
-/// 2·10³-node α = 3 tree compacts dozens of times, so here the liberties
-/// run: a batch solve through a dirty arena and an `IncrementalDp` epoch
-/// after a burst of deltas must both match the pre-flat reference, which
-/// takes none of them, bit for bit.
+/// 2·10³-node α = 3 tree compacts dozens of times on 3-D fronts, so here
+/// the liberties run: a batch solve through a dirty arena (the
+/// every-budget route) and a budgeted `IncrementalDp` epoch after a burst
+/// of deltas must both match the pre-flat reference, which takes none of
+/// them, bit for bit. (Unbounded solves keep (flow, power) fronts, whose
+/// merges are too small to compact.)
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -239,28 +261,32 @@ fn assert_bits_equal(got: &(Placement, f64, f64), want: &(Placement, f64, f64), 
 )]
 fn merge_liberties_match_the_reference_bitwise() {
     let instance = experiment3(2_000, 9);
-    let want = |instance: &Instance| {
-        reference::pruned_solve(instance, f64::INFINITY).expect("reference solve")
+    let want = |instance: &Instance, bound: f64| {
+        reference::pruned_solve(instance, bound).expect("reference solve")
     };
 
     let mut arena = SolveArena::new();
-    dp_power_pruned::solve_min_power_bounded_cost_in(
-        &experiment3(500, 3),
-        f64::INFINITY,
-        &mut arena.pruned,
-    )
-    .expect("dirtying solve");
-    let batch = dp_power_pruned::solve_min_power_bounded_cost_in(
-        &instance,
-        f64::INFINITY,
-        &mut arena.pruned,
-    )
-    .expect("batch solve");
-    assert_bits_equal(&batch, &want(&instance), "batch");
+    dp_power_pruned::PrunedPowerDp::run_in(&experiment3(500, 3), &mut arena.pruned)
+        .expect("dirtying solve")
+        .recycle(&mut arena.pruned);
+    let dp =
+        dp_power_pruned::PrunedPowerDp::run_in(&instance, &mut arena.pruned).expect("batch solve");
+    let best = *dp.best_within(f64::INFINITY).expect("unbounded optimum");
+    let batch = (
+        dp.reconstruct(&best).expect("backtrack"),
+        best.cost,
+        best.power,
+    );
+    dp.recycle(&mut arena.pruned);
+    let unbounded = want(&instance, f64::INFINITY);
+    assert_bits_equal(&batch, &unbounded, "batch");
 
+    // A finite bound keeps the incremental epochs on 3-D fronts: the
+    // start instance's unconstrained optimum cost.
+    let bound = unbounded.1;
     let clients = instance.tree().client_count();
-    let mut dp = IncrementalDp::new(instance);
-    dp.resolve(f64::INFINITY).expect("first epoch");
+    let mut dp = IncrementalDp::new(instance, bound);
+    dp.resolve().expect("first epoch");
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..64 {
         // Volumes stay within the generator's 1–6 range (plus zero), so
@@ -268,6 +294,6 @@ fn merge_liberties_match_the_reference_bitwise() {
         let client = ClientId::from_index(rng.random_range(0..clients));
         dp.set_requests(client, rng.random_range(0..7u64));
     }
-    let epoch = dp.resolve(f64::INFINITY).expect("epoch after the burst");
-    assert_bits_equal(&epoch, &want(dp.instance()), "incremental epoch");
+    let epoch = dp.resolve().expect("epoch after the burst");
+    assert_bits_equal(&epoch, &want(dp.instance(), bound), "incremental epoch");
 }

@@ -209,7 +209,9 @@ static SOLVERS: [Solver; 10] = [
     },
     // The dominance-pruned exact power DP (beyond the paper), the default:
     // bit-equal optima, 1–2 orders of magnitude faster in fleet runs than
-    // the full-state formulation.
+    // the full-state formulation. An unbounded solve builds (flow, power)
+    // fronts, a budgeted one 3-D fronts; the amortized frontier answers
+    // every budget, so it always builds 3-D fronts.
     Solver {
         name: "dp_power",
         capabilities: EXACT_POWER,
@@ -373,7 +375,7 @@ fn pruned_power_dp(
 ) -> Result<Placement, ModelError> {
     let dp = {
         let _phase = span.child("phase", "dp_table");
-        dp_power_pruned::PrunedPowerDp::run_in(instance, &mut arena.pruned)?
+        dp_power_pruned::PrunedPowerDp::run_for(instance, options.cost_bound, &mut arena.pruned)?
     };
     let _phase = span.child("phase", "reconstruct");
     let outcome = match dp.best_within(options.cost_bound).copied() {

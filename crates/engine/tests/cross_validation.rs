@@ -2,7 +2,8 @@
 //!
 //! Every registered solver is run, through the uniform engine interface,
 //! on 60 small random instances (30 two-mode, 30 single-mode; half with
-//! pre-existing servers) and judged against the enumeration oracle:
+//! pre-existing servers; static power from {1, 0, 6.4, U[0, 50)} and
+//! α ∈ {1, 2, 2.5, 3}) and judged against the enumeration oracle:
 //!
 //! * exact `MinPower` solvers must match the oracle optimum exactly, at
 //!   an unconstrained budget *and* at a tight budget read off the
@@ -43,6 +44,13 @@ fn small_instance(seed: u64, two_mode: bool) -> Instance {
     };
     let pre = generate::random_pre_existing(&tree, pre_count, &mut rng);
     let pre_mode = rng.random_range(0..modes.count());
+    let static_power = match rng.random_range(0..4usize) {
+        0 => 1.0,
+        1 => 0.0,
+        2 => 6.4,
+        _ => rng.random_range(0.0..50.0),
+    };
+    let alpha = [1.0, 2.0, 2.5, 3.0][rng.random_range(0..4usize)];
     // Two-mode instances use the paper's Eq. 4 cost matrices; single-mode
     // ones use the classical Eq. 2 scalars (the setting `dp_mincost` is
     // exact for).
@@ -54,7 +62,7 @@ fn small_instance(seed: u64, two_mode: bool) -> Instance {
     Instance::builder(tree)
         .pre_existing(PreExisting::at_mode(pre, pre_mode))
         .cost(cost)
-        .power(PowerModel::new(1.0, 2.0))
+        .power(PowerModel::new(static_power, alpha))
         .modes(modes)
         .build()
         .unwrap()

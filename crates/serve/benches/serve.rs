@@ -32,8 +32,11 @@ fn bench_single_delta_epochs(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_single_delta");
     group.sample_size(10);
     for nodes in [1_000usize, 10_000, 100_000] {
-        let mut dp = IncrementalDp::new(fat_linear_power_instance(SEED, nodes, nodes / 10));
-        dp.resolve(f64::INFINITY).unwrap();
+        let mut dp = IncrementalDp::new(
+            fat_linear_power_instance(SEED, nodes, nodes / 10),
+            f64::INFINITY,
+        );
+        dp.resolve().unwrap();
         let clients = dp.instance().tree().client_count();
         let mut rng = StdRng::seed_from_u64(SEED);
         group.bench_function(BenchmarkId::new("incremental", nodes), |b| {
@@ -46,7 +49,7 @@ fn bench_single_delta_epochs(c: &mut Criterion) {
                     volume
                 };
                 dp.set_requests(client, volume);
-                black_box(dp.resolve(f64::INFINITY).unwrap());
+                black_box(dp.resolve().unwrap());
             })
         });
     }
@@ -73,8 +76,11 @@ fn bench_subtree_mix_epochs(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_subtree_mix");
     group.sample_size(10);
     for nodes in [1_000usize, 10_000, 100_000] {
-        let mut dp = IncrementalDp::new(fat_linear_power_instance(SEED, nodes, nodes / 10));
-        dp.resolve(f64::INFINITY).unwrap();
+        let mut dp = IncrementalDp::new(
+            fat_linear_power_instance(SEED, nodes, nodes / 10),
+            f64::INFINITY,
+        );
+        dp.resolve().unwrap();
         let mut generator = Generator::new(Preset::SubtreeMix, dp.instance().tree(), SEED, 32);
         group.bench_function(BenchmarkId::new("incremental_rate32", nodes), |b| {
             b.iter(|| {
@@ -82,7 +88,7 @@ fn bench_subtree_mix_epochs(c: &mut Criterion) {
                     let delta = generator.next_delta(dp.instance().tree()).unwrap();
                     dp.set_requests(delta.client, delta.volume);
                 }
-                black_box(dp.resolve(f64::INFINITY).unwrap());
+                black_box(dp.resolve().unwrap());
             })
         });
     }

@@ -103,8 +103,8 @@ fn main() {
 
         // Incremental: warm tables once, then one delta + resolve per
         // epoch.
-        let mut dp = IncrementalDp::new(fat_linear_power_instance(SEED, nodes, pre));
-        dp.resolve(f64::INFINITY).expect("feasible");
+        let mut dp = IncrementalDp::new(fat_linear_power_instance(SEED, nodes, pre), f64::INFINITY);
+        dp.resolve().expect("feasible");
         let mut rng = StdRng::seed_from_u64(SEED ^ 0xD1);
         let epochs = incr_epochs(nodes);
         let ns = mean_ns(epochs, || {
@@ -113,7 +113,7 @@ fn main() {
                 next_single_delta(&mut rng, |c| tree.requests(c), clients)
             };
             dp.set_requests(client, volume);
-            black_box(dp.resolve(f64::INFINITY).expect("feasible"));
+            black_box(dp.resolve().expect("feasible"));
         });
         eprintln!(
             "incremental_single_delta  n={nodes:<8} {:.3} ms/epoch",
@@ -159,8 +159,8 @@ fn main() {
         speedups.push((nodes, speedup));
 
         // Subtree-mix bursts through the server's own generator.
-        let mut dp = IncrementalDp::new(fat_linear_power_instance(SEED, nodes, pre));
-        dp.resolve(f64::INFINITY).expect("feasible");
+        let mut dp = IncrementalDp::new(fat_linear_power_instance(SEED, nodes, pre), f64::INFINITY);
+        dp.resolve().expect("feasible");
         let mut generator = Generator::new(
             Preset::SubtreeMix,
             dp.instance().tree(),
@@ -175,7 +175,7 @@ fn main() {
                     .expect("instances have clients");
                 dp.set_requests(delta.client, delta.volume);
             }
-            black_box(dp.resolve(f64::INFINITY).expect("feasible"));
+            black_box(dp.resolve().expect("feasible"));
         });
         eprintln!(
             "incremental_subtree_mix   n={nodes:<8} {:.3} ms/epoch",

@@ -18,6 +18,13 @@
 //!   the CI smoke job byte-diffs the two — just slower, which is the
 //!   point of `BENCH_serve.json`.
 //!
+//! Every solve uses [`ServeConfig::cost_bound`], which
+//! [`PlacementServer::new`] hands to [`IncrementalDp::new`]: the bound
+//! fixes the kind of Pareto front the cached tables hold, (flow, power)
+//! for the default unbounded session and 3-D for a budget. The oracle
+//! solves under the same bound, so it builds the same kind of front and
+//! picks the same placement among tied optima.
+//!
 //! Each report carries the [`PlacementDiff`] against the previous epoch:
 //! the adds/removals/re-modes an operator would actually push to a
 //! fleet, in deterministic node order.
@@ -195,7 +202,7 @@ impl PlacementServer {
     ) -> Result<(PlacementServer, EpochReport), ModelError> {
         let internal = instance.tree().internal_count();
         let mut server = PlacementServer {
-            dp: IncrementalDp::new(instance),
+            dp: IncrementalDp::new(instance, config.cost_bound),
             config,
             placement: Placement::with_slots(internal),
             cost: 0.0,
@@ -262,8 +269,8 @@ impl PlacementServer {
         };
         let start = Instant::now();
         let (placement, cost, power) = match solver {
-            SolverKind::Incremental => self.dp.resolve(self.config.cost_bound)?,
-            SolverKind::Greedy => self.dp.greedy_fallback(self.config.cost_bound)?,
+            SolverKind::Incremental => self.dp.resolve()?,
+            SolverKind::Greedy => self.dp.greedy_fallback()?,
             SolverKind::Oracle => solve_min_power_bounded_cost_in(
                 self.dp.instance(),
                 self.config.cost_bound,
