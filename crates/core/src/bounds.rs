@@ -28,7 +28,7 @@ pub fn min_servers(tree: &Tree, capacity: u64) -> u64 {
     let n = tree.internal_count();
     let counts = traversal::SubtreeCounts::new(tree);
     let mut lb = vec![0u64; n];
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let i = node.index();
         let q = counts.requests_within[i];
         let need = q.saturating_sub(capacity).div_ceil(capacity);

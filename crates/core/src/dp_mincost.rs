@@ -196,7 +196,7 @@ fn forward_pass(tree: &Tree, capacity: u64, is_pre: &[bool]) -> Result<Vec<Table
     let mut tables: Vec<Table2> = (0..tree.internal_count())
         .map(|_| Table2::new(0, 0))
         .collect();
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let direct = tree.client_load(node);
         if direct > capacity {
             return Err(ModelError::Infeasible(format!(

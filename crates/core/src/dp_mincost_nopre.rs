@@ -88,7 +88,7 @@ fn forward_pass(tree: &Tree, capacity: u64) -> Result<Vec<NodeTable>, ModelError
         .map(|_| NodeTable { minr: Vec::new() })
         .collect();
 
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let direct = tree.client_load(node);
         if direct > capacity {
             return Err(ModelError::Infeasible(format!(

@@ -120,9 +120,9 @@ impl<'a> PowerDp<'a> {
         }
         s.unit_keys.resize_with(n, Vec::new);
         for p in 0..n {
-            let node = s.flat.node_at(p);
+            let orig = instance.pre_existing_mode(s.flat.node_at(p));
             let keys = &mut s.unit_keys[p];
-            keys.extend((0..m).map(|mode| match pre.mode_of(node) {
+            keys.extend((0..m).map(|mode| match orig {
                 Some(orig) => codec.bump_reused(codec.zero(), orig, mode),
                 None => codec.bump_new(codec.zero(), mode),
             }));
@@ -398,7 +398,7 @@ fn evaluate(
     let power = instance.power().total(instance.modes(), &by_mode);
     RootCandidate {
         table_key: root_mode.map_or(full_key, |mode| {
-            let unit = match instance.pre_existing().mode_of(instance.tree().root()) {
+            let unit = match instance.pre_existing_mode(instance.tree().root()) {
                 Some(orig) => codec.bump_reused(codec.zero(), orig, mode),
                 None => codec.bump_new(codec.zero(), mode),
             };

@@ -561,9 +561,9 @@ impl PrunedScratch {
         self.wcost.clear();
         self.wcost.reserve(self.flat.len() * modes.count());
         for p in self.flat.positions() {
-            let node = self.flat.node_at(p);
+            let orig = instance.pre_existing_mode(self.flat.node_at(p));
             for mode in modes.indices() {
-                self.wcost.push(match pre.mode_of(node) {
+                self.wcost.push(match orig {
                     // Reusing cancels the deletion this server would have
                     // paid inside the global constant.
                     Some(o) => cost_model.reused_server(o, mode) - cost_model.deleted_server(o),

@@ -23,7 +23,6 @@
 
 use super::{better, score, HeuristicResult};
 use replica_model::{Instance, ModeIdx, ModelError, Placement};
-use replica_tree::traversal;
 
 /// Default threshold grid for [`solve`].
 pub const DEFAULT_THRESHOLDS: &[f64] = &[0.6, 0.7, 0.8, 0.9, 1.0];
@@ -36,12 +35,11 @@ pub fn single_pass(instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<P
     let tree = instance.tree();
     let modes = instance.modes();
     let cap = modes.capacity(cap_mode);
-    let pre = instance.pre_existing();
     let mut placement = Placement::empty(tree);
     let mut flow = vec![0u64; tree.internal_count()];
     let mut contributions: Vec<(u64, bool, replica_tree::NodeId)> = Vec::new();
 
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let direct = tree.client_load(node);
         if direct > cap {
             return None;
@@ -51,7 +49,7 @@ pub fn single_pass(instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<P
         for &c in tree.children(node) {
             let fc = flow[c.index()];
             if fc > 0 {
-                contributions.push((fc, pre.contains(c), c));
+                contributions.push((fc, instance.pre_existing_mode(c).is_some(), c));
             }
             f += fc;
         }

@@ -2,9 +2,9 @@
 //!
 //! The hot solvers (`replica_core::{greedy, greedy_power, dp_power_pruned,
 //! dp_power}`) iterate the cache-friendly `replica_tree::FlatTree`
-//! post-order layout. This module retains their original pointer-chasing
-//! implementations (`traversal::post_order` + `Tree::children`
-//! Vec-of-Vecs) **verbatim**, so the test batteries can prove the flat
+//! post-order layout. This module retains their original tree-walking
+//! implementations (a loop over `Tree::post_order` reading
+//! `Tree::children`) **verbatim**, so the test batteries can prove the flat
 //! solvers return *bit-identical* solutions — same placement, same
 //! `f64::to_bits` cost and power — on arbitrary instances, including
 //! pre-existing-replica and cost-budget modes.
@@ -18,7 +18,7 @@ use replica_core::greedy::GreedyResult;
 use replica_core::greedy_power::SweepPoint;
 use replica_core::state::{StateCodec, StateKey};
 use replica_model::{le_tolerant, Instance, ModeIdx, ModePolicy, ModelError, Placement, Solution};
-use replica_tree::{traversal, NodeId, Tree};
+use replica_tree::{NodeId, Tree};
 use rustc_hash::FxHashMap;
 
 // ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ pub fn greedy_min_replicas(tree: &Tree, capacity: u64) -> Result<GreedyResult, M
     let mut flow = vec![0u64; n];
     let mut contributions: Vec<(u64, NodeId)> = Vec::new();
 
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let direct = tree.client_load(node);
         if direct > capacity {
             return Err(ModelError::Infeasible(format!(
@@ -226,7 +226,7 @@ pub fn pruned_solve(
         .sum();
 
     let mut tables: Vec<Vec<Triple>> = vec![Vec::new(); tree.internal_count()];
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let direct = tree.client_load(node);
         let mut table = Vec::new();
         if direct <= wmax {
@@ -427,7 +427,7 @@ pub fn full_solve(
         .collect();
 
     let mut tables: Vec<Table> = vec![Table::default(); tree.internal_count()];
-    for node in traversal::post_order(tree) {
+    for &node in tree.post_order() {
         let direct = tree.client_load(node);
         let mut table = Table::default();
         if direct <= wmax {

@@ -2,7 +2,8 @@
 //!
 //! Each client `i` is served by `server(i)`: the first node on the path from
 //! `i` up to the root that holds a replica. From a tree and a placement this
-//! module derives, in a single bottom-up plus a single top-down pass:
+//! module derives, in one bottom-up pass over the tree's post order and
+//! one top-down pass over its reverse:
 //!
 //! * `inflow(j)` — requests reaching node `j` from its subtree (its own
 //!   clients plus whatever its children let through),
@@ -16,7 +17,7 @@
 use crate::error::ModelError;
 use crate::modes::ModeSet;
 use crate::placement::Placement;
-use replica_tree::{traversal, ClientId, NodeId, Tree};
+use replica_tree::{ClientId, NodeId, Tree};
 
 /// The result of routing all requests under the closest policy.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,7 +40,8 @@ impl Assignment {
         debug_assert_eq!(placement.slots(), n, "placement sized for a different tree");
         let mut inflow = vec![0u64; n];
         let mut outflow = vec![0u64; n];
-        for node in traversal::post_order(tree) {
+        let order = tree.post_order();
+        for &node in order {
             let i = node.index();
             let mut f = tree.client_load(node);
             for &c in tree.children(node) {
@@ -49,9 +51,10 @@ impl Assignment {
             outflow[i] = if placement.has_server(node) { 0 } else { f };
         }
 
-        // nearest[j] = closest server at-or-above j.
+        // nearest[j] = closest server at-or-above j; the reversed post order
+        // visits every parent before its children.
         let mut nearest: Vec<Option<NodeId>> = vec![None; n];
-        for node in traversal::pre_order(tree) {
+        for &node in order.iter().rev() {
             let i = node.index();
             nearest[i] = if placement.has_server(node) {
                 Some(node)

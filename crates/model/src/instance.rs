@@ -8,20 +8,68 @@
 
 use crate::cost::CostModel;
 use crate::error::ModelError;
-use crate::modes::ModeSet;
+use crate::modes::{ModeIdx, ModeSet};
 use crate::power::PowerModel;
 use crate::preexisting::PreExisting;
 use replica_tree::{NodeId, Tree};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A full problem statement. Construct with [`Instance::builder`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Besides its five parts, an instance keeps a dense per-node index of the
+/// pre-existing set, sized to the tree
+/// ([`Instance::pre_existing_mode`]), so that solvers look a node up by
+/// position instead of searching the set. The index is derived data: it is
+/// rebuilt whenever the set changes and never serialized. The JSON form
+/// holds the five parts only, and decoding it goes through
+/// [`InstanceBuilder::build`], so a decoded instance is validated like a
+/// built one.
+#[derive(Clone, Debug, Deserialize)]
+#[serde(try_from = "RawInstance")]
 pub struct Instance {
     tree: Tree,
     modes: ModeSet,
     pre_existing: PreExisting,
     cost: CostModel,
     power: PowerModel,
+    /// `pre_mode[j]` = original mode of node `j`'s pre-existing server.
+    pre_mode: Vec<Option<u8>>,
+}
+
+/// The wire form of an [`Instance`] as decoded: its five parts, in the
+/// field order `Serialize for Instance` writes.
+#[derive(Deserialize)]
+struct RawInstance {
+    tree: Tree,
+    modes: ModeSet,
+    pre_existing: PreExisting,
+    cost: CostModel,
+    power: PowerModel,
+}
+
+impl Serialize for Instance {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("tree".into(), self.tree.serialize()),
+            ("modes".into(), self.modes.serialize()),
+            ("pre_existing".into(), self.pre_existing.serialize()),
+            ("cost".into(), self.cost.serialize()),
+            ("power".into(), self.power.serialize()),
+        ])
+    }
+}
+
+impl TryFrom<RawInstance> for Instance {
+    type Error = ModelError;
+
+    fn try_from(raw: RawInstance) -> Result<Self, ModelError> {
+        Instance::builder(raw.tree)
+            .modes(raw.modes)
+            .pre_existing(raw.pre_existing)
+            .cost(raw.cost)
+            .power(raw.power)
+            .build()
+    }
 }
 
 impl Instance {
@@ -79,10 +127,23 @@ impl Instance {
         &self.pre_existing
     }
 
+    /// Original mode of `node` if it holds a pre-existing server — the
+    /// same answer as `self.pre_existing().mode_of(node)`, read from the
+    /// instance's per-node index.
+    ///
+    /// # Panics
+    /// Panics if `node` is not a node of the instance's tree.
+    #[inline]
+    pub fn pre_existing_mode(&self, node: NodeId) -> Option<ModeIdx> {
+        self.pre_mode[node.index()].map(ModeIdx::from)
+    }
+
     /// Replaces the pre-existing set (used by the dynamic simulation, where
-    /// step `t`'s solution becomes step `t+1`'s pre-existing servers).
+    /// step `t`'s solution becomes step `t+1`'s pre-existing servers), and
+    /// rebuilds the per-node index.
     pub fn set_pre_existing(&mut self, pre: PreExisting) -> Result<(), ModelError> {
         pre.validate(&self.tree, &self.modes)?;
+        self.pre_mode = pre.mode_index(self.tree.internal_count());
         self.pre_existing = pre;
         Ok(())
     }
@@ -175,6 +236,7 @@ impl InstanceBuilder {
         self.power.validate()?;
         self.pre_existing.validate(&self.tree, &modes)?;
         Ok(Instance {
+            pre_mode: self.pre_existing.mode_index(self.tree.internal_count()),
             tree: self.tree,
             modes,
             pre_existing: self.pre_existing,

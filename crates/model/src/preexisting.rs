@@ -8,15 +8,24 @@
 //! pre-existing servers; this type makes the choice explicit and
 //! configurable (our experiments default to the highest mode, matching the
 //! single-mode model where a pre-existing replica is a full-capacity server
-//! — see DESIGN.md).
+//! — see `docs/ARCHITECTURE.md` at the repository root).
+//!
+//! The set is a sorted map, which is what its wire form and its
+//! node-ordered iteration need. Solvers look servers up per node through
+//! the dense index an [`Instance`](crate::Instance) builds from it
+//! ([`Instance::pre_existing_mode`](crate::Instance::pre_existing_mode)).
 
 use crate::error::ModelError;
 use crate::modes::{ModeIdx, ModeSet};
+use crate::placement::Placement;
 use replica_tree::{NodeId, Tree};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Pre-existing servers with their original modes.
+///
+/// Lookups here walk a B-tree; an [`Instance`](crate::Instance) also keeps
+/// a per-node index of the same set for the solvers' hot loops.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PreExisting {
     entries: BTreeMap<NodeId, ModeIdx>,
@@ -83,7 +92,8 @@ impl PreExisting {
         by_mode
     }
 
-    /// Checks that every entry names a real node and a real mode.
+    /// Checks that every entry names a real node and a real mode that a
+    /// [`Placement`] can hold (at most [`Placement::MAX_MODE`]).
     pub fn validate(&self, tree: &Tree, modes: &ModeSet) -> Result<(), ModelError> {
         for (&node, &mode) in &self.entries {
             if node.index() >= tree.internal_count() {
@@ -96,8 +106,27 @@ impl PreExisting {
                     "node {node} has unknown original mode index {mode}"
                 )));
             }
+            if mode > Placement::MAX_MODE {
+                return Err(ModelError::InvalidPreExisting(format!(
+                    "node {node} has original mode index {mode} past {}",
+                    Placement::MAX_MODE
+                )));
+            }
         }
         Ok(())
+    }
+
+    /// The dense per-node index of this set over a tree of `nodes` internal
+    /// nodes: entry `j` is node `j`'s original mode, `None` when it holds no
+    /// pre-existing server. The set must have passed
+    /// [`PreExisting::validate`] against that tree, which bounds every node
+    /// and mode.
+    pub(crate) fn mode_index(&self, nodes: usize) -> Vec<Option<u8>> {
+        let mut index = vec![None; nodes];
+        for (&node, &mode) in &self.entries {
+            index[node.index()] = u8::try_from(mode).ok();
+        }
+        index
     }
 }
 
@@ -146,6 +175,14 @@ mod tests {
         assert!(bad_node.validate(&t, &modes).is_err());
         let bad_mode = PreExisting::at_mode([NodeId::from_index(1)], 7);
         assert!(bad_mode.validate(&t, &modes).is_err());
+
+        // Modes up to Placement::MAX_MODE index; one past it is rejected.
+        let many = ModeSet::new((1..=300).collect()).unwrap();
+        let top = PreExisting::at_mode([NodeId::from_index(2)], Placement::MAX_MODE);
+        assert!(top.validate(&t, &many).is_ok());
+        assert_eq!(top.mode_index(3), vec![None, None, Some(u8::MAX)]);
+        let past = PreExisting::at_mode([NodeId::from_index(2)], Placement::MAX_MODE + 1);
+        assert!(past.validate(&t, &many).is_err());
     }
 
     #[test]

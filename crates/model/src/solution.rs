@@ -111,8 +111,11 @@ impl Solution {
 
         if policy == ModePolicy::LowestFeasible {
             // Routing is independent of modes, so re-moding after routing is
-            // sound.
-            for (node, _) in placement.clone().servers() {
+            // sound. Servers in node order, as `servers()` lists them.
+            for node in tree.internal_nodes() {
+                if !placement.has_server(node) {
+                    continue;
+                }
                 let load = assignment.load(node);
                 let mode = modes.mode_for_load(load).ok_or(ModelError::Overloaded {
                     node,
@@ -127,14 +130,13 @@ impl Solution {
 
         let m = modes.count();
         let mut counts = SolutionCounts::zero(m);
-        let pre = instance.pre_existing();
         for (node, mode) in placement.servers() {
-            match pre.mode_of(node) {
+            match instance.pre_existing_mode(node) {
                 Some(orig) => counts.reused[orig][mode] += 1,
                 None => counts.new_by_mode[mode] += 1,
             }
         }
-        for (node, orig) in pre.iter() {
+        for (node, orig) in instance.pre_existing().iter() {
             if !placement.has_server(node) {
                 counts.deleted_by_mode[orig] += 1;
             }

@@ -6,14 +6,17 @@
 //! [structural validation](crate::validate) so that hand-assembled or
 //! deserialized trees go through the same checks.
 
-use crate::arena::{Client, NodeData, Tree};
+use crate::arena::{Client, Tree};
 use crate::ids::{ClientId, NodeId};
 use crate::validate::TreeError;
 
 /// Builder for [`Tree`]; see the [module docs](self).
+///
+/// It keeps only parent links and client records; [`TreeBuilder::build`]
+/// packs them into the tree's child and client windows.
 #[derive(Clone, Debug, Default)]
 pub struct TreeBuilder {
-    nodes: Vec<NodeData>,
+    parent: Vec<Option<NodeId>>,
     clients: Vec<Client>,
 }
 
@@ -21,11 +24,7 @@ impl TreeBuilder {
     /// Creates a builder holding just the root node.
     pub fn new() -> Self {
         TreeBuilder {
-            nodes: vec![NodeData {
-                parent: None,
-                children: Vec::new(),
-                clients: Vec::new(),
-            }],
+            parent: vec![None],
             clients: Vec::new(),
         }
     }
@@ -33,14 +32,10 @@ impl TreeBuilder {
     /// Creates a builder pre-sized for `internal` internal nodes and
     /// `clients` clients.
     pub fn with_capacity(internal: usize, clients: usize) -> Self {
-        let mut nodes = Vec::with_capacity(internal.max(1));
-        nodes.push(NodeData {
-            parent: None,
-            children: Vec::new(),
-            clients: Vec::new(),
-        });
+        let mut parent = Vec::with_capacity(internal.max(1));
+        parent.push(None);
         TreeBuilder {
-            nodes,
+            parent,
             clients: Vec::with_capacity(clients),
         }
     }
@@ -54,7 +49,7 @@ impl TreeBuilder {
     /// Number of internal nodes added so far (root included).
     #[inline]
     pub fn internal_count(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Appends a new internal node under `parent` and returns its handle.
@@ -62,14 +57,12 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if `parent` is not a handle issued by this builder.
     pub fn add_child(&mut self, parent: NodeId) -> NodeId {
-        assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData {
-            parent: Some(parent),
-            children: Vec::new(),
-            clients: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
+        assert!(
+            parent.index() < self.parent.len(),
+            "unknown parent {parent}"
+        );
+        let id = NodeId::from_index(self.parent.len());
+        self.parent.push(Some(parent));
         id
     }
 
@@ -79,24 +72,19 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if `node` is not a handle issued by this builder.
     pub fn add_client(&mut self, node: NodeId, requests: u64) -> ClientId {
-        assert!(node.index() < self.nodes.len(), "unknown node {node}");
+        assert!(node.index() < self.parent.len(), "unknown node {node}");
         let id = ClientId::from_index(self.clients.len());
         self.clients.push(Client {
             attach: node,
             requests,
         });
-        self.nodes[node.index()].clients.push(id);
         id
     }
 
-    /// Finalizes the tree, running structural validation.
+    /// Finalizes the tree, running structural validation. Children and
+    /// clients keep their insertion order.
     pub fn build(self) -> Result<Tree, TreeError> {
-        let tree = Tree {
-            nodes: self.nodes,
-            clients: self.clients,
-        };
-        crate::validate::validate(&tree)?;
-        Ok(tree)
+        Tree::from_links(self.parent, self.clients)
     }
 
     /// Test/bench convenience: attaches one client with `requests` requests
@@ -105,8 +93,12 @@ impl TreeBuilder {
     /// Construction through the builder cannot produce structural errors, so
     /// this unwraps internally.
     pub fn build_with_clients_everywhere(mut self, requests: u64) -> Tree {
-        for idx in 0..self.nodes.len() {
-            if self.nodes[idx].clients.is_empty() {
+        let mut has_client = vec![false; self.parent.len()];
+        for c in &self.clients {
+            has_client[c.attach.index()] = true;
+        }
+        for (idx, has) in has_client.into_iter().enumerate() {
+            if !has {
                 self.add_client(NodeId::from_index(idx), requests);
             }
         }

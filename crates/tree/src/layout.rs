@@ -4,14 +4,18 @@
 //! position `p` appears after every node in its subtree, and the subtree of
 //! `p` is the *contiguous* range `first(p) ..= p`. Children, clients and
 //! aggregated client demand of every node are packed into shared flat arrays
-//! with per-node offset windows, so a bottom-up dynamic program is a single
-//! forward scan `for p in 0..len()` over dense, cache-friendly memory —
-//! no pointer-chasing through per-node `Vec`s.
+//! with per-position offset windows, so a bottom-up dynamic program is a
+//! single forward scan `for p in 0..len()` whose per-position tables and
+//! subtrees sit next to each other. The [`Tree`] itself is packed too, but
+//! indexed by node id; this layout adds the position order, contiguous
+//! subtrees and a demand snapshot that [`FlatTree::refresh_demand`] keeps
+//! current.
 //!
 //! ## Invariants
 //!
-//! The layout order is **exactly** [`crate::traversal::post_order`]'s output (the
-//! two-stack left-to-right post-order), which pins these properties:
+//! The layout order is **exactly** [`Tree::post_order`] (the left-to-right
+//! post-order the tree caches at construction), which pins these
+//! properties:
 //!
 //! ```text
 //! positions:   0 1 2 ... n-1          (root is always n-1)
@@ -80,8 +84,6 @@ pub struct FlatTree {
     client_load: Vec<u64>,
     /// Aggregated demand of the whole subtree, including the node itself.
     subtree_load: Vec<u64>,
-    /// Build scratch (kept so `rebuild` is allocation-free on reuse).
-    stack: Vec<NodeId>,
 }
 
 impl FlatTree {
@@ -99,20 +101,10 @@ impl FlatTree {
     /// allocation once the buffers have grown to the tree's size.
     pub fn rebuild(&mut self, tree: &Tree) {
         let n = tree.internal_count();
+        // The tree's own post order: solvers iterating `FlatTree` positions
+        // visit nodes in exactly the order the tree-walking solvers did.
         self.order.clear();
-        self.order.reserve(n);
-        // Identical two-stack construction to `traversal::post_order`: emit
-        // reverse pre-order with children pushed left-to-right, then reverse.
-        // Solvers iterating `FlatTree` positions therefore visit nodes in
-        // exactly the order the pointer-based solvers did.
-        self.stack.clear();
-        self.stack.push(tree.root());
-        while let Some(node) = self.stack.pop() {
-            self.order.push(node);
-            self.stack.extend_from_slice(tree.children(node));
-        }
-        self.order.reverse();
-        debug_assert_eq!(self.order.len(), n);
+        self.order.extend_from_slice(tree.post_order());
 
         self.post.clear();
         self.post.resize(n, 0);
@@ -389,7 +381,7 @@ impl DirtySet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{traversal, TreeBuilder};
+    use crate::TreeBuilder;
 
     /// root ── a ── c
     ///      └─ b
@@ -407,12 +399,11 @@ mod tests {
     }
 
     #[test]
-    fn order_matches_traversal_post_order() {
+    fn order_matches_tree_post_order() {
         let (t, _) = sample();
         let flat = FlatTree::new(&t);
-        let reference = traversal::post_order(&t);
         let got: Vec<_> = flat.positions().map(|p| flat.node_at(p)).collect();
-        assert_eq!(got, reference);
+        assert_eq!(got, t.post_order());
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //!
 //! The crate provides:
 //!
-//! * an arena-backed [`Tree`] with cheap index-based [`NodeId`] / [`ClientId`]
-//!   handles,
+//! * a packed [`Tree`] with cheap index-based [`NodeId`] / [`ClientId`]
+//!   handles: its frozen topology lives in flat arrays (a parent array,
+//!   child and client windows over two shared arrays, per-node demand kept
+//!   current by [`Tree::set_requests`]), and its post-order is computed once
+//!   at construction ([`Tree::post_order`]),
 //! * a mutation-safe [`TreeBuilder`],
-//! * [traversals](traversal) (post-order, pre-order, ancestors, depths,
-//!   per-subtree tallies) used by every algorithm in `replica-core`,
+//! * [depths and per-subtree tallies](traversal) used by the algorithms in
+//!   `replica-core`,
 //! * the cache-friendly [`FlatTree`](layout) post-order layout (subtree =
 //!   contiguous index range) that the solver hot paths iterate,
 //! * seeded [random generators](generate) reproducing the exact tree shapes of

@@ -1,18 +1,32 @@
 //! Validated serde support for [`Tree`].
 //!
-//! `Tree` serializes with the derived implementation (a plain arena dump).
-//! Deserialization, however, goes through a mirror struct and then the full
-//! [structural validation](crate::validate): corrupt or adversarial inputs
-//! are rejected instead of producing a tree that would break the algorithms'
+//! The wire form is the per-node list dump
+//! `{"nodes":[{"parent","children","clients"}…],"clients":[…]}`: `Tree`
+//! serializes through that mirror by hand, since it stores its topology
+//! packed. Deserialization reads the mirror, packs its lists without
+//! dereferencing any handle, and then runs the full
+//! [structural validation](crate::validate) on the packed form: corrupt or
+//! adversarial inputs end in a typed [`TreeError`](crate::TreeError)
+//! instead of a panic or a tree that would break the algorithms'
 //! invariants downstream.
 
 use crate::arena::{Client, NodeData, Tree};
-use serde::{Deserialize, Deserializer};
+use serde::{Deserialize, Deserializer, Serialize, Value};
 
-#[derive(Deserialize)]
+#[derive(Serialize, Deserialize)]
 struct RawTree {
     nodes: Vec<NodeData>,
     clients: Vec<Client>,
+}
+
+impl Serialize for Tree {
+    fn serialize(&self) -> Value {
+        RawTree {
+            nodes: self.wire_nodes().collect(),
+            clients: self.clients.clone(),
+        }
+        .serialize()
+    }
 }
 
 impl<'de> Deserialize<'de> for Tree {
@@ -21,12 +35,9 @@ impl<'de> Deserialize<'de> for Tree {
         D: Deserializer<'de>,
     {
         let raw = RawTree::deserialize(deserializer)?;
-        let tree = Tree {
-            nodes: raw.nodes,
-            clients: raw.clients,
-        };
-        crate::validate::validate(&tree).map_err(serde::de::Error::custom)?;
-        Ok(tree)
+        Tree::pack_wire(raw.nodes, raw.clients)
+            .and_then(Tree::finish)
+            .map_err(serde::de::Error::custom)
     }
 }
 

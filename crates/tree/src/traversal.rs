@@ -1,49 +1,20 @@
-//! Tree traversal orders and per-subtree tallies.
+//! Depths and per-subtree tallies.
 //!
 //! Every dynamic program in `replica-core` processes nodes bottom-up
-//! (children strictly before parents), so [`post_order`] is the workhorse
-//! here. [`SubtreeCounts`] precomputes, for each node `j`, how many internal
-//! nodes / pre-existing servers / requests live in `subtree_j` — these bounds
-//! are what keep the DP tables small (see DESIGN.md §2).
+//! (children strictly before parents), in the order
+//! [`Tree::post_order`] caches at construction. [`SubtreeCounts`]
+//! precomputes, for each node `j`, how many internal nodes / pre-existing
+//! servers / requests live in `subtree_j` — these bounds are what keep the
+//! DP tables small.
 
 use crate::arena::Tree;
 use crate::ids::NodeId;
 
-/// Nodes in post order: every node appears after all of its descendants.
-///
-/// Iterative (no recursion), so arbitrarily deep trees are fine — the paper's
-/// "high" trees can be hundreds of levels deep.
-pub fn post_order(tree: &Tree) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(tree.internal_count());
-    // Two-stack trick: emit in reverse pre-order with children visited
-    // left-to-right, then reverse.
-    let mut stack = vec![tree.root()];
-    while let Some(node) = stack.pop() {
-        order.push(node);
-        stack.extend_from_slice(tree.children(node));
-    }
-    order.reverse();
-    order
-}
-
-/// Nodes in pre order: every node appears before its descendants.
-pub fn pre_order(tree: &Tree) -> Vec<NodeId> {
-    let mut order = Vec::with_capacity(tree.internal_count());
-    let mut stack = vec![tree.root()];
-    while let Some(node) = stack.pop() {
-        order.push(node);
-        // Reverse so that children pop left-to-right.
-        for &c in tree.children(node).iter().rev() {
-            stack.push(c);
-        }
-    }
-    order
-}
-
 /// Depth of every node (root = 0), indexed by node index.
 pub fn depths(tree: &Tree) -> Vec<u32> {
     let mut depth = vec![0u32; tree.internal_count()];
-    for node in pre_order(tree) {
+    // Reversed post order visits every parent before its children.
+    for &node in tree.post_order().iter().rev() {
         if let Some(p) = tree.parent(node) {
             depth[node.index()] = depth[p.index()] + 1;
         }
@@ -92,7 +63,7 @@ impl SubtreeCounts {
         let mut internal_below = vec![0u32; n];
         let mut pre_existing_below = vec![0u32; n];
         let mut requests_within = vec![0u64; n];
-        for node in post_order(tree) {
+        for &node in tree.post_order() {
             let i = node.index();
             requests_within[i] = tree.client_load(node);
             for &c in tree.children(node) {
@@ -144,38 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn post_order_children_before_parents() {
-        let (t, _) = sample();
-        let order = post_order(&t);
-        assert_eq!(order.len(), t.internal_count());
-        let mut pos = vec![0usize; t.internal_count()];
-        for (i, n) in order.iter().enumerate() {
-            pos[n.index()] = i;
-        }
-        for n in t.internal_nodes() {
-            for &c in t.children(n) {
-                assert!(pos[c.index()] < pos[n.index()], "{c} must precede {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn pre_order_parents_before_children() {
-        let (t, _) = sample();
-        let order = pre_order(&t);
-        let mut pos = vec![0usize; t.internal_count()];
-        for (i, n) in order.iter().enumerate() {
-            pos[n.index()] = i;
-        }
-        for n in t.internal_nodes() {
-            for &c in t.children(n) {
-                assert!(pos[c.index()] > pos[n.index()]);
-            }
-        }
-        assert_eq!(order[0], t.root());
-    }
-
-    #[test]
     fn depths_and_height() {
         let (t, [r, a, b, c]) = sample();
         let d = depths(&t);
@@ -206,7 +145,7 @@ mod tests {
     #[test]
     fn single_node_tree() {
         let t = TreeBuilder::new().build().unwrap();
-        assert_eq!(post_order(&t), vec![t.root()]);
+        assert_eq!(t.post_order(), &[t.root()]);
         assert_eq!(height(&t), 0);
         let s = SubtreeCounts::new(&t);
         assert_eq!(s.internal_below[0], 0);
@@ -220,7 +159,7 @@ mod tests {
             cur = b.add_child(cur);
         }
         let t = b.build().unwrap();
-        assert_eq!(post_order(&t).len(), 100_001);
+        assert_eq!(t.post_order().len(), 100_001);
         assert_eq!(height(&t), 100_000);
     }
 }

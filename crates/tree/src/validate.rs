@@ -3,7 +3,9 @@
 //! Trees produced by [`TreeBuilder`](crate::TreeBuilder) are valid by
 //! construction, but trees can also arrive through deserialization; both
 //! paths funnel through [`validate`] so that every algorithm downstream can
-//! assume a well-formed arena.
+//! assume a well-formed tree. Validation reads the packed form, so a
+//! deserialized tree is checked after its lists are packed and before
+//! anything derived from them (demand, post order) is computed.
 
 use crate::arena::Tree;
 use crate::ids::NodeId;
@@ -60,29 +62,40 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// Checks arena consistency: single root, mutual parent/child links, client
-/// links, global reachability (connected + acyclic), and a total client
-/// demand that fits a `u64` — every per-node and subtree demand sum is at
-/// most that total, so none of them can wrap.
+/// Checks tree consistency: single root, mutual parent/child links, client
+/// links (each client listed once, under the node it attaches to), global
+/// reachability (connected + acyclic), and a total client demand that fits
+/// a `u64` — every per-node and subtree demand sum is at most that total,
+/// so none of them can wrap.
 pub fn validate(tree: &Tree) -> Result<(), TreeError> {
-    if tree.nodes.is_empty() {
+    check(tree, &mut Vec::new()).map(drop)
+}
+
+/// [`validate`], returning the total client demand. `visit` receives the
+/// reachability walk's visit order: children pushed left to right onto a
+/// stack, so reversed it is the tree's post order.
+///
+/// Reads only the packed topology and the client records, and checks every
+/// handle before dereferencing it, so it never panics on packed wire input.
+pub(crate) fn check(tree: &Tree, visit: &mut Vec<NodeId>) -> Result<u64, TreeError> {
+    let n = tree.parent.len();
+    if n == 0 {
         return Err(TreeError::Empty);
     }
-    if tree.nodes[0].parent.is_some() {
+    if tree.parent[0].is_some() {
         return Err(TreeError::RootHasParent);
     }
 
-    let n = tree.nodes.len();
-    for (idx, node) in tree.nodes.iter().enumerate() {
+    for (idx, &parent) in tree.parent.iter().enumerate() {
         let id = NodeId::from_index(idx);
         if idx != 0 {
-            match node.parent {
+            match parent {
                 None => return Err(TreeError::OrphanNode(id)),
                 Some(p) if p.index() >= n => {
                     return Err(TreeError::DanglingHandle(format!("parent of {id}")))
                 }
                 Some(p) => {
-                    if !tree.nodes[p.index()].children.contains(&id) {
+                    if !tree.children(p).contains(&id) {
                         return Err(TreeError::LinkMismatch {
                             parent: p,
                             child: id,
@@ -91,18 +104,18 @@ pub fn validate(tree: &Tree) -> Result<(), TreeError> {
                 }
             }
         }
-        for &c in &node.children {
+        for &c in tree.children(id) {
             if c.index() >= n {
                 return Err(TreeError::DanglingHandle(format!("child of {id}")));
             }
-            if tree.nodes[c.index()].parent != Some(id) {
+            if tree.parent[c.index()] != Some(id) {
                 return Err(TreeError::LinkMismatch {
                     parent: id,
                     child: c,
                 });
             }
         }
-        for &cl in &node.clients {
+        for &cl in tree.clients_of(id) {
             match tree.clients.get(cl.index()) {
                 None => return Err(TreeError::DanglingHandle(format!("client of {id}"))),
                 Some(client) if client.attach != id => {
@@ -125,11 +138,26 @@ pub fn validate(tree: &Tree) -> Result<(), TreeError> {
             return Err(TreeError::DanglingHandle(format!("attach of client {idx}")));
         }
         let cl = crate::ids::ClientId::from_index(idx);
-        if !tree.nodes[client.attach.index()].clients.contains(&cl) {
+        if !tree.clients_of(client.attach).contains(&cl) {
             return Err(TreeError::ClientLinkMismatch(format!(
                 "client {cl} attached to {} but not listed there",
                 client.attach
             )));
+        }
+    }
+    // Every client is listed under its node and every listing names a
+    // client attached there, so a surplus listing is a client listed twice
+    // (which would count its demand twice).
+    if tree.node_clients.len() != tree.clients.len() {
+        let mut listed = vec![false; tree.clients.len()];
+        for id in (0..n).map(NodeId::from_index) {
+            for &cl in tree.clients_of(id) {
+                if std::mem::replace(&mut listed[cl.index()], true) {
+                    return Err(TreeError::ClientLinkMismatch(format!(
+                        "client {cl} listed twice under {id}"
+                    )));
+                }
+            }
         }
     }
 
@@ -137,25 +165,27 @@ pub fn validate(tree: &Tree) -> Result<(), TreeError> {
     // parent/child links were verified mutual above.
     let mut seen = vec![false; n];
     let mut stack = vec![tree.root()];
-    let mut reached = 0usize;
+    visit.clear();
+    visit.reserve(n);
     while let Some(node) = stack.pop() {
         if seen[node.index()] {
             return Err(TreeError::NotATree(node));
         }
         seen[node.index()] = true;
-        reached += 1;
+        visit.push(node);
         stack.extend_from_slice(tree.children(node));
     }
-    if reached != n {
+    if visit.len() != n {
         let missing = seen.iter().position(|&s| !s).expect("some node unseen");
         return Err(TreeError::NotATree(NodeId::from_index(missing)));
     }
-    Ok(())
+    Ok(demand)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{Client, NodeData};
     use crate::TreeBuilder;
 
     fn valid_tree() -> Tree {
@@ -167,15 +197,29 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The wire lists of [`valid_tree`], for a test to corrupt.
+    fn raw() -> (Vec<NodeData>, Vec<Client>) {
+        let t = valid_tree();
+        (t.wire_nodes().collect(), t.clients.clone())
+    }
+
+    /// Packs corrupted wire lists without validating them.
+    fn packed(nodes: Vec<NodeData>, clients: Vec<Client>) -> Tree {
+        Tree::pack_wire(nodes, clients).unwrap()
+    }
+
     #[test]
     fn builder_trees_validate() {
         assert!(validate(&valid_tree()).is_ok());
+        let (nodes, clients) = raw();
+        assert!(validate(&packed(nodes, clients)).is_ok());
     }
 
     #[test]
     fn detects_root_with_parent() {
-        let mut t = valid_tree();
-        t.nodes[0].parent = Some(NodeId::from_index(1));
+        let (mut nodes, clients) = raw();
+        nodes[0].parent = Some(NodeId::from_index(1));
+        let t = packed(nodes, clients);
         assert_eq!(validate(&t), Err(TreeError::RootHasParent));
     }
 
@@ -183,8 +227,9 @@ mod tests {
     fn detects_orphan() {
         // Clearing a parent pointer trips either the orphan check or the
         // mutual-link check, depending on which node is scanned first.
-        let mut t = valid_tree();
-        t.nodes[2].parent = None;
+        let (mut nodes, clients) = raw();
+        nodes[2].parent = None;
+        let t = packed(nodes, clients);
         assert!(matches!(
             validate(&t),
             Err(TreeError::OrphanNode(_)) | Err(TreeError::LinkMismatch { .. })
@@ -193,15 +238,17 @@ mod tests {
 
     #[test]
     fn detects_link_mismatch() {
-        let mut t = valid_tree();
-        t.nodes[2].parent = Some(NodeId::from_index(0));
+        let (mut nodes, clients) = raw();
+        nodes[2].parent = Some(NodeId::from_index(0));
+        let t = packed(nodes, clients);
         assert!(matches!(validate(&t), Err(TreeError::LinkMismatch { .. })));
     }
 
     #[test]
     fn detects_client_mismatch() {
-        let mut t = valid_tree();
-        t.clients[0].attach = NodeId::from_index(2);
+        let (nodes, mut clients) = raw();
+        clients[0].attach = NodeId::from_index(2);
+        let t = packed(nodes, clients);
         assert!(matches!(
             validate(&t),
             Err(TreeError::ClientLinkMismatch(_))
@@ -210,9 +257,24 @@ mod tests {
 
     #[test]
     fn detects_dangling_child() {
-        let mut t = valid_tree();
-        t.nodes[2].children.push(NodeId::from_index(99));
+        let (mut nodes, clients) = raw();
+        nodes[2].children.push(NodeId::from_index(99));
+        let t = packed(nodes, clients);
         assert!(matches!(validate(&t), Err(TreeError::DanglingHandle(_))));
+    }
+
+    #[test]
+    fn detects_client_listed_twice() {
+        let (mut nodes, clients) = raw();
+        let k = nodes[1].clients[0];
+        nodes[1].clients.push(k);
+        let t = packed(nodes, clients);
+        assert_eq!(
+            validate(&t),
+            Err(TreeError::ClientLinkMismatch(
+                "client c0 listed twice under n1".into()
+            ))
+        );
     }
 
     #[test]

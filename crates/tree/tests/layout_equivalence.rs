@@ -14,6 +14,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use replica_tree::{generate, traversal, FlatTree, GeneratorConfig, Tree};
 
+mod support;
+
 fn arbitrary_config() -> impl Strategy<Value = GeneratorConfig> {
     (
         1usize..120,
@@ -40,8 +42,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Positions are a permutation of the nodes, the inverse map is
-    /// consistent both ways, and the order is *exactly* the pointer
-    /// post-order (the bit-identity prerequisite for the flat solvers).
+    /// consistent both ways, and the order is *exactly* the left-to-right
+    /// post-order, here written recursively in the test (the bit-identity
+    /// prerequisite for the flat solvers).
     #[test]
     fn positions_are_the_post_order_permutation(tree in arbitrary_tree()) {
         let flat = FlatTree::new(&tree);
@@ -54,7 +57,7 @@ proptest! {
             prop_assert_eq!(flat.position_of(n), p);
         }
         prop_assert!(seen.into_iter().all(|s| s));
-        let reference = traversal::post_order(&tree);
+        let reference = support::recursive_post_order(&tree);
         for (p, n) in reference.iter().enumerate() {
             prop_assert_eq!(flat.node_at(p), *n);
         }

@@ -1,11 +1,103 @@
 //! Property-based tests of the tree substrate: generator invariants,
 //! traversal laws, text-format round trips and serde stability under
-//! arbitrary seeds and configurations.
+//! arbitrary seeds and configurations, and the packed storage pinned
+//! against references rebuilt in the test.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use replica_tree::{generate, text_format, traversal, GeneratorConfig, TreeStats};
+use replica_tree::{
+    generate, text_format, traversal, ClientId, GeneratorConfig, NodeId, Tree, TreeBuilder,
+    TreeStats,
+};
+use serde::Deserialize;
+
+mod support;
+
+/// The wire form's node list, parsed into plain structs: a reference for
+/// the packed windows that shares no code with the tree's storage.
+#[derive(Deserialize)]
+struct WireTree {
+    nodes: Vec<WireNode>,
+    clients: Vec<WireClient>,
+}
+
+#[derive(Deserialize)]
+struct WireNode {
+    parent: Option<u32>,
+    children: Vec<u32>,
+    clients: Vec<u32>,
+}
+
+#[derive(Deserialize)]
+struct WireClient {
+    attach: u32,
+    requests: u64,
+}
+
+/// The reference rebuilt from `tree`'s serialized node list.
+fn wire_of(tree: &Tree) -> WireTree {
+    serde_json::from_str(&serde_json::to_string(tree).unwrap()).unwrap()
+}
+
+/// `tree`'s accessors against `wire`, and its post order against the
+/// recursive one.
+fn check_packed(tree: &Tree, wire: &WireTree) -> Result<(), String> {
+    prop_assert_eq!(tree.internal_count(), wire.nodes.len());
+    prop_assert_eq!(tree.client_count(), wire.clients.len());
+    let ids = |list: &[u32]| list.iter().map(|&i| i as usize).collect::<Vec<_>>();
+    for (i, node) in wire.nodes.iter().enumerate() {
+        let n = NodeId::from_index(i);
+        prop_assert_eq!(
+            tree.parent(n).map(NodeId::index),
+            node.parent.map(|p| p as usize)
+        );
+        let children: Vec<usize> = tree.children(n).iter().map(|c| c.index()).collect();
+        prop_assert_eq!(children, ids(&node.children));
+        let clients: Vec<usize> = tree.clients_of(n).iter().map(|c| c.index()).collect();
+        prop_assert_eq!(clients, ids(&node.clients));
+        prop_assert_eq!(tree.is_internal_leaf(n), node.children.is_empty());
+    }
+    for (i, client) in wire.clients.iter().enumerate() {
+        let c = tree.client(ClientId::from_index(i));
+        prop_assert_eq!(c.attach.index(), client.attach as usize);
+        prop_assert_eq!(c.requests, client.requests);
+    }
+    prop_assert_eq!(tree.post_order(), &support::recursive_post_order(tree)[..]);
+    Ok(())
+}
+
+/// Applies `updates` (client picked modulo the client count) through
+/// `set_requests`, checking every node's demand and the total after each.
+fn check_demand_under_updates(tree: &mut Tree, updates: &[(usize, u64)]) -> Result<(), String> {
+    let check = |tree: &Tree| -> Result<(), String> {
+        let mut total = 0;
+        for n in tree.internal_nodes() {
+            let sum: u64 = tree.clients_of(n).iter().map(|&c| tree.requests(c)).sum();
+            prop_assert_eq!(tree.client_load(n), sum, "demand of {}", n);
+            total += sum;
+        }
+        prop_assert_eq!(tree.total_requests(), total);
+        Ok(())
+    };
+    check(tree)?;
+    if tree.client_count() == 0 {
+        return Ok(());
+    }
+    for &(pick, requests) in updates {
+        tree.set_requests(ClientId::from_index(pick % tree.client_count()), requests);
+        check(tree)?;
+    }
+    Ok(())
+}
+
+/// One builder step: a child (`true`) or a client, under the node picked
+/// modulo the nodes so far, with the given requests for a client.
+type BuildStep = (bool, usize, u64);
+
+fn updates() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    prop::collection::vec((0usize..10_000, 0u64..1_000), 0..24)
+}
 
 fn arbitrary_config() -> impl Strategy<Value = GeneratorConfig> {
     (
@@ -52,25 +144,92 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let tree = generate::random_tree(&cfg, &mut StdRng::seed_from_u64(seed));
-        let post = traversal::post_order(&tree);
-        let pre = traversal::pre_order(&tree);
+        let post = tree.post_order();
         prop_assert_eq!(post.len(), tree.internal_count());
-        prop_assert_eq!(pre.len(), tree.internal_count());
         let mut seen = vec![false; tree.internal_count()];
-        for n in &post {
+        for n in post {
             prop_assert!(!seen[n.index()], "duplicate in post order");
             seen[n.index()] = true;
         }
-        // Pre order is the reverse-closure property: parents first.
+        // Post order puts every parent after its children, so reversed it
+        // puts parents first.
         let mut pos = vec![0usize; tree.internal_count()];
-        for (i, n) in pre.iter().enumerate() {
+        for (i, n) in post.iter().enumerate() {
             pos[n.index()] = i;
         }
         for n in tree.internal_nodes() {
             if let Some(p) = tree.parent(n) {
-                prop_assert!(pos[p.index()] < pos[n.index()]);
+                prop_assert!(pos[p.index()] > pos[n.index()]);
             }
         }
+        prop_assert_eq!(post.last(), Some(&tree.root()));
+    }
+
+    /// Generated trees and their JSON round trips: the packed windows, the
+    /// cached post order and the per-node demand under `set_requests`.
+    #[test]
+    fn generated_trees_pack_like_their_wire_form(
+        cfg in arbitrary_config(),
+        seed in 0u64..10_000,
+        updates in updates(),
+    ) {
+        let mut tree = generate::random_tree(&cfg, &mut StdRng::seed_from_u64(seed));
+        let wire = wire_of(&tree);
+        check_packed(&tree, &wire)?;
+        let mut back: Tree = serde_json::from_str(&serde_json::to_string(&tree).unwrap()).unwrap();
+        check_packed(&back, &wire)?;
+        check_demand_under_updates(&mut tree, &updates)?;
+        check_demand_under_updates(&mut back, &updates)?;
+    }
+
+    /// Builder trees from random steps: windows keep insertion order (the
+    /// steps' own record), the serialized node list spells the same, and a
+    /// JSON round trip reads back the same storage.
+    #[test]
+    fn builder_trees_pack_in_insertion_order(
+        steps in prop::collection::vec((0u32..2, 0usize..1_000, 0u64..50), 0..80),
+        updates in updates(),
+    ) {
+        let steps: Vec<BuildStep> = steps.into_iter().map(|(k, at, r)| (k == 0, at, r)).collect();
+        let mut b = TreeBuilder::new();
+        let mut parent = vec![None];
+        let mut children = vec![Vec::new()];
+        let mut clients = vec![Vec::new()];
+        let mut records = Vec::new();
+        for &(is_child, at, requests) in &steps {
+            let node = NodeId::from_index(at % b.internal_count());
+            if is_child {
+                let id = b.add_child(node);
+                parent.push(Some(node.index() as u32));
+                children[node.index()].push(id.index() as u32);
+                children.push(Vec::new());
+                clients.push(Vec::new());
+            } else {
+                let id = b.add_client(node, requests);
+                clients[node.index()].push(id.index() as u32);
+                records.push((node.index() as u32, requests));
+            }
+        }
+        let mut tree = b.build().unwrap();
+        let expected = WireTree {
+            nodes: (0..parent.len())
+                .map(|i| WireNode {
+                    parent: parent[i],
+                    children: children[i].clone(),
+                    clients: clients[i].clone(),
+                })
+                .collect(),
+            clients: records
+                .iter()
+                .map(|&(attach, requests)| WireClient { attach, requests })
+                .collect(),
+        };
+        check_packed(&tree, &expected)?;
+        check_packed(&tree, &wire_of(&tree))?;
+        let mut back: Tree = serde_json::from_str(&serde_json::to_string(&tree).unwrap()).unwrap();
+        check_packed(&back, &expected)?;
+        check_demand_under_updates(&mut tree, &updates)?;
+        check_demand_under_updates(&mut back, &updates)?;
     }
 
     #[test]
