@@ -1,7 +1,7 @@
-//! Ablations of the DP engineering choices called out in DESIGN.md:
-//! full-state vs Pareto-pruned tables, forward-only vs full
-//! reconstruction, and the sweep-amortization win (answering every budget
-//! from one DP run vs re-running per budget).
+//! Ablations of the DP engineering choices: full-state vs Pareto-pruned
+//! tables, forward-only vs full reconstruction, and the sweep-amortization
+//! win (answering every budget from one DP run vs re-running per budget;
+//! `docs/ARCHITECTURE.md`, "Budget sweeps: per-solve vs amortized").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use replica_bench::power_instance;

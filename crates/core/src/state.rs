@@ -11,7 +11,7 @@
 //! being combined always count *disjoint* node sets, plain integer addition
 //! of two keys adds fields pointwise with no carry-over — merging two
 //! subtree states is a single `u128` add. This is what makes the
-//! `O(N^{2M²+2M+1})` DP practical (DESIGN.md §2).
+//! `O(N^{2M²+2M+1})` DP practical.
 
 use replica_model::{ModeIdx, ModelError};
 

@@ -268,6 +268,7 @@ impl Demand {
 
 /// A named, reproducible instance family.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// `"<topology>/<demand>/<nodes>n"`.
     pub name: String,

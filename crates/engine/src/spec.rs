@@ -417,6 +417,7 @@ impl TryFrom<String> for ScenarioSet {
 /// A named scenario set at a node count — the `scenario_set` field of a
 /// spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioSetRef {
     /// Which built-in set.
     pub set: ScenarioSet,
@@ -434,6 +435,7 @@ pub struct ScenarioSetRef {
 /// runnable [`Campaign`] or fails with a [`SpecError`] before any job
 /// runs.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CampaignSpec {
     /// Named scenario set (mutually exclusive with
     /// [`CampaignSpec::scenarios`]; exactly one must be set).
@@ -1210,6 +1212,45 @@ mod tests {
             CampaignSpec::from_json("[1, 2]"),
             Err(SpecError::Parse { .. })
         ));
+        // A misspelled key and a repeated key fail and name the key, at
+        // every level of the spec.
+        let set = r#""scenario_set":{"set":"standard","nodes":12}"#;
+        let scenario = serde_json::to_string(&Scenario::new(
+            crate::scenarios::Topology::Fat,
+            crate::scenarios::Demand::Uniform,
+            12,
+        ))
+        .unwrap();
+        let inline = format!(
+            r#"{{"scenarios":[{}]}}"#,
+            scenario.replace("\"create\"", "\"creat\"")
+        );
+        for (text, key) in [
+            (inline, "unknown field `creat`"),
+            (
+                format!(r#"{{{set},"solvrs":["greedy"]}}"#),
+                "unknown field `solvrs`",
+            ),
+            (
+                format!(r#"{{{set},"seed":1,"seed":2}}"#),
+                "duplicate field `seed`",
+            ),
+            (
+                r#"{"scenario_set":{"set":"standard","nodes":12,"node":3}}"#.to_string(),
+                "unknown field `node`",
+            ),
+            (
+                r#"{"scenario_set":{"set":"standard","nodes":12,"nodes":3}}"#.to_string(),
+                "duplicate field `nodes`",
+            ),
+        ] {
+            match CampaignSpec::from_json(&text) {
+                Err(SpecError::Parse { message, .. }) => {
+                    assert!(message.contains(key), "{text} → {message}");
+                }
+                other => panic!("{text}: expected Parse, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Command-line driver regenerating every figure of the paper.
 //!
 //! ```text
-//! experiments exp1 [--high] [--trees N] [--nodes N] [--out DIR]
-//! experiments exp2 [--high] [--trees N] [--nodes N] [--steps N] [--out DIR]
-//! experiments exp3 [--variant fig8|fig9|fig10|fig11] [--trees N] [--out DIR]
-//! experiments scale [--paper] [--out DIR]
-//! experiments all [--quick] [--out DIR]
+//! experiments <exp1|exp2|exp3|scale|heur|strat|fleet|all> [flags]
 //! ```
 //!
-//! Every run prints ASCII tables and writes the same data as CSV into the
+//! `experiments help` lists the flags each command accepts
+//! ([`replica_experiments::cli::USAGE`]); any other flag exits 2 with
+//! the usage. Every run prints ASCII tables and writes the same data as CSV into the
 //! output directory (default `results/`).
 
-use replica_experiments::cli::Args;
+use replica_experiments::cli::{accepted_flags, Args, USAGE};
 use replica_experiments::{
     exp1, exp2, exp3, fleet_cmd, heuristics_quality, report, scalability, strategies_study,
 };
@@ -24,55 +22,17 @@ fn die(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-const USAGE: &str = "\
-usage: experiments <command> [flags]
-
-commands:
-  exp1    Figures 4/6  — reuse of pre-existing servers, DP vs GR
-  exp2    Figures 5/7  — cumulative reuse over 20 update steps
-  exp3    Figures 8-11 — inverse power vs cost bound
-  scale   §5 runtime claims — DP wall-clock vs tree size
-  heur    §6 heuristics quality vs the exact DP (not a paper figure)
-  strat   §6 update-strategy trade-off matrix (not a paper figure)
-  fleet   spec-driven scenario-fleet campaign through the engine
-  all     everything above except fleet (use --quick for a smoke run)
-
-flags:
-  --high             high trees (2-4 children) instead of fat (6-9)
-  --variant NAME     exp3 variant: fig8 (default) | fig9 | fig10 | fig11
-  --trees N          override the tree count
-  --nodes N          override the internal-node count
-  --steps N          override the step count (exp2)
-  --seed N           override the experiment seed
-  --quick            scaled-down run (all commands)
-  --paper            paper-scale targets (scale command; minutes!)
-  --out DIR          output directory for CSVs (default: results)
-
-fleet flags (a campaign spec, validated before any job runs):
-  --spec FILE        load a CampaignSpec JSON (see examples/campaigns/)
-  --scenarios SET    standard | churn | extended   [default: standard]
-  --count K          instances per scenario        [default: 2]
-  --solvers a,b,c    registry solver names         [default: dp_power,greedy_power,heur_power_greedy]
-  --reference NAME   gap/speedup baseline
-  --batch-jobs N     streaming batch size          [default: 64]
-  --cost-bound X     cost budget per solve
-  --budgets a,b,c    budget grid: adds an amortized frontier sweep
-  --format F         table | table-det | csv | json | json-det
-  --trace FILE       write a JSONL telemetry trace of the run (spans,
-                     progress, timing histograms); strictly out-of-band —
-                     the report is byte-identical with or without it
-  --analyze          after the run, parse the trace back and print the
-                     forensic report (phase profile, slowest solves,
-                     throughput) to stderr; uses --trace FILE when given,
-                     a temporary trace otherwise";
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = raw.first().cloned() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let args = Args::parse(&raw[1..]);
+    // Help and unknown commands take no flags; they are answered below.
+    let args = match accepted_flags(&command) {
+        Some(accepted) => Args::parse(&raw[1..], &accepted).unwrap_or_else(|e| die(&e)),
+        None => Args::default(),
+    };
     match command.as_str() {
         "exp1" => run_exp1(&args),
         "exp2" => run_exp2(&args),

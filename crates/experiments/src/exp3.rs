@@ -40,7 +40,7 @@ pub struct Exp3Config {
     /// Pre-existing servers per tree (paper: 5; 0 for Figure 9).
     pub pre_existing: usize,
     /// Original mode of pre-existing servers (paper: unspecified; we
-    /// default to the highest mode — see DESIGN.md).
+    /// default to the highest mode).
     pub pre_mode: usize,
     /// Tree shape (fat = Figures 8/9/11, high = Figure 10).
     pub shape: TreeShape,
@@ -49,8 +49,7 @@ pub struct Exp3Config {
     /// Probability of a client per internal node. The paper does not
     /// restate it for Experiment 3; Figure 8's x-axis (bounds 15–45,
     /// saturation ≈ 34 ⇒ ≈ 30 servers ⇒ ≈ 150 requests on 50 nodes) is only
-    /// consistent with a client at *every* node, so the default is 1.0
-    /// (see DESIGN.md).
+    /// consistent with a client at *every* node, so the default is 1.0.
     pub client_probability: f64,
     /// Request volume range (paper: 1–5).
     pub request_range: (u64, u64),

@@ -98,7 +98,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Args {
-        Args::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        let raw: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Args::parse(&raw, &crate::cli::accepted_flags("fleet").unwrap()).unwrap()
     }
 
     fn tiny_campaign() -> Campaign {

@@ -1,7 +1,7 @@
 //! # `replica-experiments` — the paper's evaluation, reproduced
 //!
 //! One module per experiment of §5, each regenerating the corresponding
-//! figures (see DESIGN.md §3 for the full index):
+//! figures:
 //!
 //! | Module | Figures | What is measured |
 //! |---|---|---|
@@ -17,8 +17,7 @@
 //! trees per configuration). All dispatch goes through the engine registry
 //! — per-solve for single-budget experiments, the amortized
 //! `Registry::sweep` for the bounded-cost sweep of [`exp3`]. The
-//! `experiments` binary drives everything and writes CSV + ASCII tables;
-//! `EXPERIMENTS.md` records paper-vs-measured.
+//! `experiments` binary drives everything and writes CSV + ASCII tables.
 //!
 //! Beyond the paper's figures, [`fleet_cmd`] runs arbitrary
 //! scenario-fleet campaigns described by the engine's declarative

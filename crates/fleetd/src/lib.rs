@@ -114,7 +114,7 @@ pub mod worker;
 pub use error::FleetdError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use heartbeat::{Heartbeat, ShardStatus, WorkerState};
-pub use merge::{merge_reports, merge_reports_fenced, run_sharded_in_process};
+pub use merge::{merge_reports, merge_reports_fenced};
 pub use plan::{plan_shards, ShardManifest, ShardPlan};
 pub use pool::ClaimRecord;
 pub use sched::{FailureOutcome, Launch, Phase, SchedConfig, Scheduler};

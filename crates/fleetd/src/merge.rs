@@ -212,16 +212,6 @@ fn rows_of<'a>(
     Ok(rows)
 }
 
-/// Convenience for the common whole-pipeline case: plan, run every shard
-/// in-process, merge. (The multi-process variant lives in
-/// [`crate::coordinator`].)
-pub fn run_sharded_in_process(plan: &ShardPlan) -> Result<FleetReport, FleetdError> {
-    let reports: Vec<ShardReport> = (0..plan.shards.len())
-        .map(|k| crate::worker::run_shard(plan, k))
-        .collect::<Result<_, _>>()?;
-    merge_reports(plan, &reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +239,9 @@ mod tests {
     fn merged_report_is_byte_identical_to_single_process() {
         for shards in [1, 2, 4] {
             let plan = tiny_plan(shards);
-            let merged = run_sharded_in_process(&plan).unwrap();
+            let reports: Vec<ShardReport> =
+                (0..shards).map(|k| run_shard(&plan, k).unwrap()).collect();
+            let merged = merge_reports(&plan, &reports).unwrap();
             assert_eq!(
                 merged.digest(),
                 single_process_digest(&plan),

@@ -129,7 +129,7 @@ fn spec_digest_equals_legacy_digest_through_the_library() {
 
     let digest = |campaign: &Campaign, shards: usize| {
         let plan = replica_fleetd::ShardPlan::new(campaign.clone(), shards).unwrap();
-        replica_fleetd::run_sharded_in_process(&plan)
+        replica_fleetd::coordinator::run_plan(&plan, &replica_fleetd::Workers::InProcess)
             .unwrap()
             .digest()
     };

@@ -1,9 +1,10 @@
 //! # `replica-obs` — out-of-band observability for the workspace
 //!
-//! A small, dependency-free telemetry layer: hierarchical spans,
-//! monotonic counters and wall-clock histograms, emitted as [`Event`]s
-//! through a pluggable [`Sink`] (no-op, in-memory for tests, buffered
-//! JSONL file). The engine's fleet runner, the `fleetd` shard workers
+//! A small telemetry layer whose only dependencies are the vendored
+//! `serde` and `serde_json` (the trace reader parses with the latter):
+//! hierarchical spans, monotonic counters and wall-clock histograms,
+//! emitted as [`Event`]s through a pluggable [`Sink`] (no-op, in-memory
+//! for tests, buffered JSONL file). The engine's fleet runner, the `fleetd` shard workers
 //! and the experiments harness all trace through the one [`Obs`]
 //! handle defined here.
 //!

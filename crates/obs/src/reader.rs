@@ -2,14 +2,12 @@
 //! [`Event::to_json_line`].
 //!
 //! [`Trace::parse`] (or [`Trace::load`]) turns trace text back into
-//! typed [`Event`]s line by line. The wire format is a *flat* JSON
-//! object per line — no nesting — so the scanner here is a small
-//! hand-rolled tokenizer over `{"key":value,…}` rather than a general
-//! JSON parser: strings with the full escape repertoire (including
-//! `\uXXXX` and surrogate pairs), integers, floats, `null`. Field
+//! typed [`Event`]s line by line. Each line is parsed by the workspace's
+//! one JSON parser, the vendored `serde_json` (its grammar and nesting
+//! limit are documented there), and must then be a *flat* object:
+//! every value a string, a number or `null`, every key once. Field
 //! *order* is immaterial and unknown keys are tolerated (forward
-//! compatibility with future writer fields); duplicate keys are
-//! rejected.
+//! compatibility with future writer fields).
 //!
 //! Malformed input **never panics**: every defect becomes a typed
 //! [`ParseError`] carrying its 1-based line number, collected in
@@ -21,6 +19,7 @@
 
 use crate::event::{Event, SchedOp};
 use crate::hist::Stats;
+use serde::Value;
 use std::path::Path;
 
 /// A defect in trace input, located by its 1-based line number.
@@ -37,7 +36,7 @@ pub enum ParseError {
     Syntax {
         /// 1-based line number.
         line: usize,
-        /// What the scanner choked on.
+        /// What the parser choked on.
         message: String,
     },
     /// The same key appeared twice in one line.
@@ -189,7 +188,7 @@ impl Trace {
 
 /// Parses one wire line into its event and optional `ts_ms` stamp.
 pub fn parse_line(raw: &str, line_no: usize) -> Result<(Event, Option<u64>), ParseError> {
-    let fields = scan_object(raw, line_no)?;
+    let fields = flat_object(raw, line_no)?;
     let at = Fields {
         fields: &fields,
         line: line_no,
@@ -266,31 +265,42 @@ pub fn parse_line(raw: &str, line_no: usize) -> Result<(Event, Option<u64>), Par
     Ok((event, ts_ms))
 }
 
-/// One scanned scalar value. The wire format is flat, so these are the
-/// only value shapes a line may contain.
-#[derive(Clone, Debug, PartialEq)]
-enum Scalar {
-    Null,
-    /// An unparsed numeric literal; typing happens at field extraction
-    /// (a `u64` field rejects fractions, an `f64` field accepts both).
-    Num(String),
-    Str(String),
+/// Parses one line as a flat JSON object: every value a string, a
+/// number or `null`, every key once.
+fn flat_object(raw: &str, line: usize) -> Result<Vec<(String, Value)>, ParseError> {
+    let syntax = |message: String| ParseError::Syntax { line, message };
+    let Value::Object(fields) = serde_json::from_str(raw).map_err(|e| syntax(e.to_string()))?
+    else {
+        return Err(syntax("a trace line must be one JSON object".into()));
+    };
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if fields[..i].iter().any(|(seen, _)| seen == key) {
+            return Err(ParseError::DuplicateKey {
+                line,
+                key: key.clone(),
+            });
+        }
+        if matches!(value, Value::Bool(_) | Value::Array(_) | Value::Object(_)) {
+            return Err(syntax(format!("\"{key}\" is not a string, number or null")));
+        }
+    }
+    Ok(fields)
 }
 
 struct Fields<'a> {
-    fields: &'a [(String, Scalar)],
+    fields: &'a [(String, Value)],
     line: usize,
 }
 
 impl Fields<'_> {
-    fn get(&self, field: &str) -> Option<&Scalar> {
+    fn get(&self, field: &str) -> Option<&Value> {
         self.fields
             .iter()
             .find(|(key, _)| key == field)
             .map(|(_, value)| value)
     }
 
-    fn require(&self, kind: &str, field: &'static str) -> Result<&Scalar, ParseError> {
+    fn require(&self, kind: &str, field: &'static str) -> Result<&Value, ParseError> {
         self.get(field).ok_or(ParseError::MissingField {
             line: self.line,
             kind: kind.to_string(),
@@ -306,57 +316,52 @@ impl Fields<'_> {
         }
     }
 
-    fn as_u64(&self, field: &str, scalar: &Scalar) -> Result<u64, ParseError> {
-        match scalar {
-            Scalar::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|_| self.bad(field, format!("expected unsigned integer, got {raw}"))),
+    fn as_u64(&self, field: &str, value: &Value) -> Result<u64, ParseError> {
+        match value {
+            Value::Int(i) => u64::try_from(*i)
+                .map_err(|_| self.bad(field, format!("expected unsigned integer, got {i}"))),
             other => Err(self.bad(field, format!("expected unsigned integer, got {other:?}"))),
         }
     }
 
-    fn u64_field(&self, kind: &str, field: &'static str) -> Result<u64, ParseError> {
-        let scalar = self.require(kind, field)?;
-        self.as_u64(field, scalar)
-    }
-
-    fn f64_field(&self, kind: &str, field: &'static str) -> Result<f64, ParseError> {
-        match self.require(kind, field)? {
-            // The writer encodes non-finite floats as `null`.
-            Scalar::Null => Ok(f64::NAN),
-            Scalar::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| self.bad(field, format!("expected number, got {raw}"))),
+    /// A number, or `null`: the writer encodes non-finite floats as
+    /// `null`, read back as NaN.
+    fn as_f64(&self, field: &str, value: &Value) -> Result<f64, ParseError> {
+        match value {
+            Value::Null => Ok(f64::NAN),
+            Value::Int(i) => Ok(*i as f64),
+            Value::Float(f) => Ok(*f),
             other => Err(self.bad(field, format!("expected number or null, got {other:?}"))),
         }
     }
 
+    fn u64_field(&self, kind: &str, field: &'static str) -> Result<u64, ParseError> {
+        self.as_u64(field, self.require(kind, field)?)
+    }
+
+    fn f64_field(&self, kind: &str, field: &'static str) -> Result<f64, ParseError> {
+        self.as_f64(field, self.require(kind, field)?)
+    }
+
     fn str_field<'a>(&'a self, kind: &str, field: &'static str) -> Result<&'a str, ParseError> {
         match self.require(kind, field)? {
-            Scalar::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s),
             other => Err(self.bad(field, format!("expected string, got {other:?}"))),
         }
     }
 
     /// An `f64` field that may be absent (`null` still means non-finite).
     fn opt_f64_field(&self, field: &'static str) -> Result<Option<f64>, ParseError> {
-        match self.get(field) {
-            None => Ok(None),
-            Some(Scalar::Null) => Ok(Some(f64::NAN)),
-            Some(Scalar::Num(raw)) => raw
-                .parse::<f64>()
-                .map(Some)
-                .map_err(|_| self.bad(field, format!("expected number, got {raw}"))),
-            Some(other) => Err(self.bad(field, format!("expected number or null, got {other:?}"))),
-        }
+        self.get(field)
+            .map(|value| self.as_f64(field, value))
+            .transpose()
     }
 
     /// A `u64` field that may be absent (but not `null`).
     fn opt_u64_field(&self, field: &'static str) -> Result<Option<u64>, ParseError> {
-        match self.get(field) {
-            None => Ok(None),
-            Some(scalar) => self.as_u64(field, scalar).map(Some),
-        }
+        self.get(field)
+            .map(|value| self.as_u64(field, value))
+            .transpose()
     }
 
     /// A required field that is either a `u64` or `null`
@@ -367,241 +372,8 @@ impl Fields<'_> {
         field: &'static str,
     ) -> Result<Option<u64>, ParseError> {
         match self.require(kind, field)? {
-            Scalar::Null => Ok(None),
-            scalar => self.as_u64(field, scalar).map(Some),
-        }
-    }
-}
-
-/// Scans one `{"key":value,…}` line into its key/value pairs.
-fn scan_object(raw: &str, line: usize) -> Result<Vec<(String, Scalar)>, ParseError> {
-    let syntax = |message: String| ParseError::Syntax { line, message };
-    let mut scanner = Scanner {
-        bytes: raw.as_bytes(),
-        raw,
-        pos: 0,
-        line,
-    };
-    scanner.skip_ws();
-    scanner.expect(b'{')?;
-    let mut fields: Vec<(String, Scalar)> = Vec::with_capacity(8);
-    scanner.skip_ws();
-    if !scanner.eat(b'}') {
-        loop {
-            scanner.skip_ws();
-            let key = scanner.string()?;
-            if fields.iter().any(|(existing, _)| *existing == key) {
-                return Err(ParseError::DuplicateKey { line, key });
-            }
-            scanner.skip_ws();
-            scanner.expect(b':')?;
-            scanner.skip_ws();
-            let value = scanner.scalar()?;
-            fields.push((key, value));
-            scanner.skip_ws();
-            if scanner.eat(b',') {
-                continue;
-            }
-            scanner.expect(b'}')?;
-            break;
-        }
-    }
-    scanner.skip_ws();
-    if scanner.pos != scanner.bytes.len() {
-        return Err(syntax(format!(
-            "trailing input after object at byte {}",
-            scanner.pos
-        )));
-    }
-    Ok(fields)
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    raw: &'a str,
-    pos: usize,
-    line: usize,
-}
-
-impl Scanner<'_> {
-    fn syntax(&self, message: impl Into<String>) -> ParseError {
-        ParseError::Syntax {
-            line: self.line,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(self.syntax(format!("expected '{}' at byte {}", byte as char, self.pos)))
-        }
-    }
-
-    /// One JSON string, cursor on the opening quote.
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Copy the raw run up to the next structural byte. UTF-8
-            // continuation bytes are ≥ 0x80, so byte scanning cannot
-            // split a multi-byte character.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(&self.raw[start..self.pos]);
-            match self.peek() {
-                None => return Err(self.syntax("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    out.push(self.escape()?);
-                }
-                Some(b) => {
-                    return Err(self.syntax(format!(
-                        "raw control byte 0x{b:02x} in string at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    /// One escape sequence, cursor just past the backslash.
-    fn escape(&mut self) -> Result<char, ParseError> {
-        let Some(b) = self.peek() else {
-            return Err(self.syntax("unterminated escape"));
-        };
-        self.pos += 1;
-        Ok(match b {
-            b'"' => '"',
-            b'\\' => '\\',
-            b'/' => '/',
-            b'b' => '\u{8}',
-            b'f' => '\u{c}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let high = self.hex4()?;
-                match high {
-                    0xD800..=0xDBFF => {
-                        // High surrogate: a \uXXXX low surrogate must follow.
-                        if !(self.eat(b'\\') && self.eat(b'u')) {
-                            return Err(self.syntax("lone high surrogate"));
-                        }
-                        let low = self.hex4()?;
-                        if !(0xDC00..=0xDFFF).contains(&low) {
-                            return Err(self.syntax("invalid low surrogate"));
-                        }
-                        let code = 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
-                        char::from_u32(code).ok_or_else(|| self.syntax("invalid surrogate pair"))?
-                    }
-                    0xDC00..=0xDFFF => return Err(self.syntax("lone low surrogate")),
-                    code => char::from_u32(code)
-                        .ok_or_else(|| self.syntax(format!("invalid \\u{code:04x}")))?,
-                }
-            }
-            other => {
-                return Err(self.syntax(format!("unknown escape '\\{}'", other as char)));
-            }
-        })
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.syntax("truncated \\u escape"));
-        }
-        let digits = &self.raw[self.pos..end];
-        let code = u32::from_str_radix(digits, 16)
-            .map_err(|_| self.syntax(format!("bad \\u digits \"{digits}\"")))?;
-        self.pos = end;
-        Ok(code)
-    }
-
-    /// One scalar value: string, number, or `null`.
-    fn scalar(&mut self) -> Result<Scalar, ParseError> {
-        match self.peek() {
-            Some(b'"') => self.string().map(Scalar::Str),
-            Some(b'n') => {
-                if self.raw[self.pos..].starts_with("null") {
-                    self.pos += 4;
-                    Ok(Scalar::Null)
-                } else {
-                    Err(self.syntax(format!("bad literal at byte {}", self.pos)))
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                self.eat(b'-');
-                let digits_start = self.pos;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                if self.pos == digits_start {
-                    return Err(self.syntax(format!("bad number at byte {start}")));
-                }
-                if self.eat(b'.') {
-                    let frac_start = self.pos;
-                    while matches!(self.peek(), Some(b'0'..=b'9')) {
-                        self.pos += 1;
-                    }
-                    if self.pos == frac_start {
-                        return Err(self.syntax(format!("bad number at byte {start}")));
-                    }
-                }
-                if matches!(self.peek(), Some(b'e' | b'E')) {
-                    self.pos += 1;
-                    if matches!(self.peek(), Some(b'+' | b'-')) {
-                        self.pos += 1;
-                    }
-                    let exp_start = self.pos;
-                    while matches!(self.peek(), Some(b'0'..=b'9')) {
-                        self.pos += 1;
-                    }
-                    if self.pos == exp_start {
-                        return Err(self.syntax(format!("bad number at byte {start}")));
-                    }
-                }
-                Ok(Scalar::Num(self.raw[start..self.pos].to_string()))
-            }
-            Some(b'{' | b'[') => Err(self.syntax(format!(
-                "nested values are not part of the wire format (byte {})",
-                self.pos
-            ))),
-            Some(other) => Err(self.syntax(format!(
-                "unexpected byte '{}' at {}",
-                other as char, self.pos
-            ))),
-            None => Err(self.syntax("unexpected end of line")),
+            Value::Null => Ok(None),
+            value => self.as_u64(field, value).map(Some),
         }
     }
 }
@@ -726,6 +498,21 @@ mod tests {
         ));
         assert!(matches!(&trace.errors[3], ParseError::DuplicateKey { .. }));
         assert!(matches!(&trace.errors[4], ParseError::BadValue { .. }));
+    }
+
+    #[test]
+    fn lines_must_be_flat_objects() {
+        for bad in [
+            "[1,2]",
+            "{\"kind\":\"counter\",\"name\":[\"a\"],\"value\":1}",
+            "{\"kind\":\"counter\",\"name\":\"a\",\"value\":{\"n\":1}}",
+            "{\"kind\":\"counter\",\"name\":\"a\",\"value\":true}",
+        ] {
+            assert!(
+                matches!(parse_line(bad, 9), Err(ParseError::Syntax { line: 9, .. })),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

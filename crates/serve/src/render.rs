@@ -313,16 +313,7 @@ mod tests {
         );
     }
 
-    /// Minimal JSON re-parse through the vendored reader: wrap in a
-    /// value-typed deserialize.
     fn parse(line: &str) -> Value {
-        struct Raw(Value);
-        impl<'de> serde::Deserialize<'de> for Raw {
-            fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                d.take_value().map(Raw)
-            }
-        }
-        let raw: Raw = serde_json::from_str(line).unwrap();
-        raw.0
+        serde_json::from_str::<Value>(line).unwrap()
     }
 }

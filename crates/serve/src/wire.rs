@@ -15,8 +15,9 @@
 //! `volume` is at most `u32::MAX` (4294967295); a larger one is a
 //! line-numbered error. Client handles are `u32` too, so even 2³²
 //! clients at the ceiling sum below 2⁶⁴ and no demand total can wrap.
-//! Unknown fields are rejected, not ignored: a replay file that
-//! misspells `volume` should fail loudly, not serve stale demand.
+//! Unknown and repeated fields are rejected, not ignored: a replay file
+//! that misspells `volume`, or sets it twice on one line, should fail
+//! loudly, not serve stale demand.
 
 use replica_tree::ClientId;
 use serde::{de::Error as _, Deserialize, Deserializer, Serialize, Value};
@@ -71,6 +72,13 @@ impl<'de> Deserialize<'de> for ServeEvent {
         let Value::Object(entries) = value else {
             return Err(D::Error::custom("serve event must be a JSON object"));
         };
+        for (i, (key, _)) in entries.iter().enumerate() {
+            if entries[..i].iter().any(|(seen, _)| seen == key) {
+                return Err(D::Error::custom(format!(
+                    "repeated serve event field \"{key}\""
+                )));
+            }
+        }
         let mut kind: Option<String> = None;
         let mut client: Option<i128> = None;
         let mut volume: Option<i128> = None;
@@ -173,10 +181,16 @@ mod tests {
             "{\"event\":\"resolve\"}",
             "{\"event\":\"epoch\",\"client\":1}",
             "{\"event\":\"delta\",\"client\":1,\"vol\":2}",
+            "{\"event\":\"delta\",\"client\":1,\"volume\":2,\"volume\":3}",
             "[\"delta\",1,2]",
         ] {
             let err = ServeEvent::parse(bad, 42).unwrap_err();
             assert!(err.starts_with("line 42:"), "{bad:?} → {err}");
         }
+        let repeated = "{\"event\":\"delta\",\"client\":1,\"volume\":2,\"volume\":3}";
+        assert_eq!(
+            ServeEvent::parse(repeated, 5).unwrap_err(),
+            "line 5: repeated serve event field \"volume\""
+        );
     }
 }

@@ -84,8 +84,7 @@
 //! assert_eq!(optimal.servers, greedy.servers);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction report.
+//! See `examples/` for runnable end-to-end scenarios.
 
 pub use replica_core as core;
 pub use replica_engine as engine;
