@@ -41,13 +41,24 @@ pub struct GreedyResult {
 ///
 /// The greedy is the hottest per-instance path of fleet evaluation (the
 /// `GR` capacity sweep re-runs it `W_M − W₁ + 1` times per instance);
-/// keeping the per-node flow table and the child-contribution buffer
-/// alive across runs makes those runs allocation-free after the first.
-/// [`crate::SolveArena`] bundles this with the shared [`FlatTree`].
+/// keeping the per-node flow table, the child-contribution buffer and the
+/// server list alive across runs makes those runs allocation-free after
+/// the first. [`crate::SolveArena`] bundles this with the shared
+/// [`FlatTree`].
 #[derive(Default)]
 pub struct GreedyScratch {
     flow: Vec<u64>,
     contributions: Vec<(u64, NodeId)>,
+    /// The last pass's servers as `(node, load)`, in placement order.
+    placed: Vec<(NodeId, u64)>,
+}
+
+impl GreedyScratch {
+    /// The servers of the last successful [`greedy_pass`] as `(node,
+    /// load)`: each one's closest-policy load is its flow when placed.
+    pub(crate) fn placed(&self) -> &[(NodeId, u64)] {
+        &self.placed
+    }
 }
 
 /// Runs `GR` with capacity `capacity` and returns a replica-count-optimal
@@ -78,15 +89,33 @@ pub fn greedy_min_replicas_flat(
     capacity: u64,
     scratch: &mut GreedyScratch,
 ) -> Result<GreedyResult, ModelError> {
+    greedy_pass(flat, capacity, scratch)?;
+    let mut placement = Placement::with_slots(flat.len());
+    for &(node, _) in scratch.placed() {
+        placement.insert(node, 0);
+    }
+    let servers = placement.server_count() as u64;
+    Ok(GreedyResult { placement, servers })
+}
+
+/// The kernel behind [`greedy_min_replicas_flat`]: places `GR`'s servers
+/// into `scratch` (see [`GreedyScratch::placed`]) without building a
+/// placement, so a capacity sweep scores every pass from its servers'
+/// loads and builds a placement only for the pass it keeps.
+pub(crate) fn greedy_pass(
+    flat: &FlatTree,
+    capacity: u64,
+    scratch: &mut GreedyScratch,
+) -> Result<(), ModelError> {
     assert!(capacity > 0, "capacity must be positive");
-    let n = flat.len();
-    let mut placement = Placement::with_slots(n);
     let GreedyScratch {
         flow,
         contributions,
+        placed,
     } = scratch;
     flow.clear();
-    flow.resize(n, 0);
+    flow.resize(flat.len(), 0);
+    placed.clear();
 
     for p in flat.positions() {
         let direct = flat.client_load(p);
@@ -109,7 +138,7 @@ pub fn greedy_min_replicas_flat(
             // Absorb the largest child flows first.
             contributions.sort_unstable_by(|a, b| b.cmp(a));
             for &(fc, c) in contributions.iter() {
-                placement.insert(c, 0);
+                placed.push((c, fc));
                 f -= fc;
                 if f <= capacity {
                     break;
@@ -125,10 +154,9 @@ pub fn greedy_min_replicas_flat(
 
     let root = flat.root_position();
     if flow[root] > 0 {
-        placement.insert(flat.node_at(root), 0);
+        placed.push((flat.node_at(root), flow[root]));
     }
-    let servers = placement.server_count() as u64;
-    Ok(GreedyResult { placement, servers })
+    Ok(())
 }
 
 #[cfg(test)]

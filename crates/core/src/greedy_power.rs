@@ -8,17 +8,29 @@
 //! first mode `W₁`. Given a bound on the cost, we keep the solution that
 //! minimizes the power consumption."*
 //!
-//! Concretely: for each trial capacity `W` run
-//! [`greedy_min_replicas`](crate::greedy::greedy_min_replicas), re-mode
-//! every placed server to the smallest mode that fits its actual load
-//! ([`ModePolicy::LowestFeasible`]), evaluate Eq. 3/Eq. 4 against the real
-//! instance (pre-existing servers are reused *incidentally* when the greedy
-//! happens to choose them), and keep, per budget, the feasible sweep point
-//! of minimal power.
+//! Concretely: for each trial capacity `W` run the
+//! [`greedy_min_replicas`](crate::greedy::greedy_min_replicas) kernel,
+//! operate every placed server at the smallest mode that fits its actual
+//! load (the [`ModePolicy::LowestFeasible`](replica_model::ModePolicy)
+//! mode, read off the kernel's flow at the server), and keep, per budget,
+//! the feasible sweep point of minimal power. Pre-existing servers are
+//! reused *incidentally* when the greedy happens to choose them.
+//!
+//! Each sweep point is scored from its servers alone: the pass tallies
+//! them into [`SolutionCounts`] and takes Eq. 4 cost and Eq. 3 power from
+//! [`SolutionCounts::cost_and_power`], the call
+//! [`Solution::evaluate_with_policy`](replica_model::Solution::evaluate_with_policy)
+//! scores with, so every score is bit-identical to evaluating the
+//! placement (`tests/tally_oracle.rs` checks it on every point). A
+//! placement is built only for a point that is returned: every point for
+//! [`paper_sweep`], the winner alone for [`solve`] and for
+//! [`IncrementalDp::greedy_fallback`](crate::IncrementalDp::greedy_fallback),
+//! which share one sweep driver.
 
 use crate::arena::SolveArena;
-use crate::greedy::greedy_min_replicas_flat;
-use replica_model::{le_tolerant, Instance, ModePolicy, ModelError, Placement, Solution};
+use crate::greedy::{greedy_pass, GreedyScratch};
+use replica_model::{le_tolerant, Instance, ModelError, Placement, SolutionCounts};
+use replica_tree::{FlatTree, NodeId};
 
 /// One sweep point of the `GR` baseline.
 #[derive(Clone, Debug)]
@@ -35,8 +47,76 @@ pub struct SweepPoint {
     pub servers: u64,
 }
 
+/// One scored trial capacity, as the sweep driver hands it over.
+struct Pass<'a> {
+    trial_capacity: u64,
+    cost: f64,
+    power: f64,
+    instance: &'a Instance,
+    /// The pass's servers as `(node, load)`.
+    placed: &'a [(NodeId, u64)],
+}
+
+impl Pass<'_> {
+    /// The sweep point, its placement built from the servers.
+    fn point(&self) -> SweepPoint {
+        let mut placement = Placement::empty(self.instance.tree());
+        for &(node, load) in self.placed {
+            placement.insert(node, lowest_mode(self.instance, load));
+        }
+        SweepPoint {
+            trial_capacity: self.trial_capacity,
+            placement,
+            cost: self.cost,
+            power: self.power,
+            servers: self.placed.len() as u64,
+        }
+    }
+}
+
+/// The load-fitting mode of a `GR` server. Cannot fail: every load is
+/// ≤ the trial capacity ≤ `W_M`.
+fn lowest_mode(instance: &Instance, load: u64) -> usize {
+    instance
+        .modes()
+        .mode_for_load(load)
+        .expect("greedy loads with trial W ≤ W_M fit a mode")
+}
+
+/// The sweep driver: runs the greedy kernel over `flat` (fresh for
+/// `instance`'s tree) for every trial capacity `W₁..=W_M`, tallies each
+/// feasible pass's servers at their load-fitting modes, and hands the
+/// scored pass to `visit`. Infeasible trial capacities (bundle larger
+/// than the trial `W`) are skipped.
+fn sweep(
+    instance: &Instance,
+    flat: &FlatTree,
+    scratch: &mut GreedyScratch,
+    mut visit: impl FnMut(&Pass<'_>),
+) {
+    let empty = SolutionCounts::empty(instance);
+    let mut counts = empty.clone();
+    for w in instance.modes().capacity(0)..=instance.max_capacity() {
+        if greedy_pass(flat, w, scratch).is_err() {
+            continue;
+        }
+        counts.reset_to(&empty);
+        for &(node, load) in scratch.placed() {
+            counts.add_server(instance, node, lowest_mode(instance, load));
+        }
+        let (cost, power) = counts.cost_and_power(instance);
+        visit(&Pass {
+            trial_capacity: w,
+            cost,
+            power,
+            instance,
+            placed: scratch.placed(),
+        });
+    }
+}
+
 /// Runs the greedy for every trial capacity of the paper's sweep range —
-/// every integer `W` from `W₁` to `W_M` — and evaluates each outcome.
+/// every integer `W` from `W₁` to `W_M` — and scores each outcome.
 /// Infeasible trial capacities (bundle larger than the trial `W`) are
 /// skipped.
 ///
@@ -45,25 +125,11 @@ pub struct SweepPoint {
 /// a per-thread arena (the fleet hot path) the whole sweep allocates
 /// nothing in steady state beyond the returned placements.
 pub fn paper_sweep(instance: &Instance, arena: &mut SolveArena) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
     arena.flat.rebuild(instance.tree());
-    for w in instance.modes().capacity(0)..=instance.max_capacity() {
-        let Ok(greedy) = greedy_min_replicas_flat(&arena.flat, w, &mut arena.greedy) else {
-            continue;
-        };
-        // Re-moding to the lowest feasible mode cannot fail here: every
-        // load is ≤ w ≤ W_M.
-        let sol =
-            Solution::evaluate_with_policy(instance, &greedy.placement, ModePolicy::LowestFeasible)
-                .expect("greedy placements with trial W ≤ W_M are feasible");
-        out.push(SweepPoint {
-            trial_capacity: w,
-            placement: sol.placement.clone(),
-            cost: sol.cost,
-            power: sol.power,
-            servers: sol.counts.total_servers(),
-        });
-    }
+    let mut out = Vec::new();
+    sweep(instance, &arena.flat, &mut arena.greedy, |pass| {
+        out.push(pass.point())
+    });
     out
 }
 
@@ -75,14 +141,42 @@ pub fn best_within(points: &[SweepPoint], cost_bound: f64) -> Option<&SweepPoint
         .min_by(|a, b| a.power.total_cmp(&b.power).then(a.cost.total_cmp(&b.cost)))
 }
 
-/// [`paper_sweep`] + [`best_within`] in one call.
+/// [`paper_sweep`] + [`best_within`] in one call, building only the
+/// winner's placement.
 pub fn solve(
     instance: &Instance,
     cost_bound: f64,
     arena: &mut SolveArena,
 ) -> Result<SweepPoint, ModelError> {
-    let points = paper_sweep(instance, arena);
-    best_within(&points, cost_bound).cloned().ok_or_else(|| {
+    arena.flat.rebuild(instance.tree());
+    solve_flat(instance, &arena.flat, &mut arena.greedy, cost_bound)
+}
+
+/// [`solve`] over a layout the caller keeps fresh for `instance`'s tree
+/// (the warm start of
+/// [`IncrementalDp::greedy_fallback`](crate::IncrementalDp::greedy_fallback)).
+/// A pass builds its placement only when it beats the incumbent; ties
+/// keep the earlier trial capacity, as [`best_within`] does.
+pub(crate) fn solve_flat(
+    instance: &Instance,
+    flat: &FlatTree,
+    scratch: &mut GreedyScratch,
+    cost_bound: f64,
+) -> Result<SweepPoint, ModelError> {
+    let mut best: Option<SweepPoint> = None;
+    sweep(instance, flat, scratch, |pass| {
+        let wins = le_tolerant(pass.cost, cost_bound)
+            && best.as_ref().is_none_or(|b| {
+                pass.power
+                    .total_cmp(&b.power)
+                    .then(pass.cost.total_cmp(&b.cost))
+                    .is_lt()
+            });
+        if wins {
+            best = Some(pass.point());
+        }
+    });
+    best.ok_or_else(|| {
         ModelError::Infeasible(format!(
             "greedy sweep finds nothing under cost {cost_bound}"
         ))
@@ -92,7 +186,7 @@ pub fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replica_model::{CostModel, ModeSet, PowerModel, PreExisting};
+    use replica_model::{CostModel, ModePolicy, ModeSet, PowerModel, PreExisting, Solution};
     use replica_tree::{generate, GeneratorConfig, TreeBuilder};
 
     fn sweep(instance: &Instance) -> Vec<SweepPoint> {

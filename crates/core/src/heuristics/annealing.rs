@@ -70,7 +70,7 @@ pub fn solve(
         let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp();
         if accept {
             current = candidate;
-            if better(&current, &best) {
+            if better(current.power, current.cost, &best) {
                 best = current.clone();
             }
         }

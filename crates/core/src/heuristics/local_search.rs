@@ -104,7 +104,7 @@ fn try_moves(
     candidates
         .into_iter()
         .filter_map(|p| score(instance, &p, cost_bound))
-        .find(|c| better(c, incumbent))
+        .find(|c| better(c.power, c.cost, incumbent))
 }
 
 #[cfg(test)]

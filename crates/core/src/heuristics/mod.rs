@@ -16,6 +16,14 @@
 //!
 //! All heuristics respect a cost budget and are benchmarked against the
 //! exact DP in `replica-bench` (quality gap) and on large trees (runtime).
+//!
+//! Scoring differs by family. A [`power_greedy`] pass tallies the servers
+//! it places and scores the tallies through
+//! [`SolutionCounts::cost_and_power`](replica_model::SolutionCounts::cost_and_power),
+//! the scoring of [`Solution::evaluate_with_policy`], and builds a
+//! placement only for a pass that beats the incumbent. A
+//! [`local_search`] or [`annealing`] move changes an arbitrary placement,
+//! so each candidate is evaluated in full (`score`).
 
 pub mod annealing;
 pub mod local_search;
@@ -36,7 +44,8 @@ pub struct HeuristicResult {
     pub servers: u64,
 }
 
-/// Evaluates a placement against the instance and a budget; `None` when the
+/// Evaluates a placement against the instance and a budget (the move
+/// scoring of [`local_search`] and [`annealing`]); `None` when the
 /// placement is infeasible or over budget. Modes are lowered to the
 /// load-fitting mode first (a heuristic never benefits from wasteful modes
 /// under non-negative mode-change costs).
@@ -58,10 +67,11 @@ pub(crate) fn score(
     })
 }
 
-/// `(power, cost)` lexicographic comparison for heuristic improvement.
-pub(crate) fn better(candidate: &HeuristicResult, incumbent: &HeuristicResult) -> bool {
-    candidate.power < incumbent.power - 1e-9
-        || (candidate.power < incumbent.power + 1e-9 && candidate.cost < incumbent.cost - 1e-9)
+/// `(power, cost)` lexicographic comparison for heuristic improvement: is
+/// a candidate scored `power` / `cost` better than `incumbent`?
+pub(crate) fn better(power: f64, cost: f64, incumbent: &HeuristicResult) -> bool {
+    power < incumbent.power - 1e-9
+        || (power < incumbent.power + 1e-9 && cost < incumbent.cost - 1e-9)
 }
 
 #[cfg(test)]

@@ -20,69 +20,145 @@
 //! at the mode capacities, so the heuristic is never meaningfully worse
 //! than [`greedy_power`](crate::greedy_power) while the interior of the
 //! grid frequently improves on it.
+//!
+//! A pass places every server at its closest-policy load and at the
+//! smallest mode that fits it, so it knows the placement's
+//! [`ModePolicy::LowestFeasible`](replica_model::ModePolicy) tallies as
+//! it goes: it adds each server to a [`SolutionCounts`] and scores the
+//! tallies with [`SolutionCounts::cost_and_power`], the call
+//! [`Solution::evaluate_with_policy`](replica_model::Solution::evaluate_with_policy)
+//! scores with, so each score is bit-identical to evaluating the
+//! placement. The passes share one set of buffers, and a pass builds its
+//! placement only when it beats the incumbent.
 
-use super::{better, score, HeuristicResult};
-use replica_model::{Instance, ModeIdx, ModelError, Placement};
+use super::{better, HeuristicResult};
+use replica_model::{le_tolerant, Instance, ModeIdx, ModelError, Placement, SolutionCounts};
+use replica_tree::NodeId;
 
 /// Default threshold grid for [`solve`].
 pub const DEFAULT_THRESHOLDS: &[f64] = &[0.6, 0.7, 0.8, 0.9, 1.0];
 
-/// One bottom-up pass capped at mode `cap_mode` with fill threshold `tau`;
-/// returns an (unscored) placement, or `None` when some client bundle
-/// exceeds the cap.
-pub fn single_pass(instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<Placement> {
-    assert!(tau > 0.0 && tau <= 1.0, "threshold must be in (0, 1]");
-    let tree = instance.tree();
-    let modes = instance.modes();
-    let cap = modes.capacity(cap_mode);
-    let mut placement = Placement::empty(tree);
-    let mut flow = vec![0u64; tree.internal_count()];
-    let mut contributions: Vec<(u64, bool, replica_tree::NodeId)> = Vec::new();
+/// Working memory of the `(cap, τ)` passes over one instance, reused from
+/// one pass to the next.
+struct Pass {
+    flow: Vec<u64>,
+    contributions: Vec<(u64, bool, NodeId)>,
+    /// The pass's servers as `(node, mode)`, in placement order.
+    placed: Vec<(NodeId, ModeIdx)>,
+    /// The tallies of the empty placement, each pass's starting point.
+    empty: SolutionCounts,
+    counts: SolutionCounts,
+}
 
-    for &node in tree.post_order() {
-        let direct = tree.client_load(node);
-        if direct > cap {
-            return None;
+impl Pass {
+    fn new(instance: &Instance) -> Self {
+        let empty = SolutionCounts::empty(instance);
+        Pass {
+            flow: vec![0; instance.tree().internal_count()],
+            contributions: Vec::new(),
+            placed: Vec::new(),
+            counts: empty.clone(),
+            empty,
         }
-        let mut f = direct;
-        contributions.clear();
-        for &c in tree.children(node) {
-            let fc = flow[c.index()];
-            if fc > 0 {
-                contributions.push((fc, instance.pre_existing_mode(c).is_some(), c));
+    }
+
+    /// One bottom-up pass capped at mode `cap_mode` with fill threshold
+    /// `tau`, tallying each server as it places it; returns the pass's
+    /// `(cost, power)`, or `None` when some client bundle exceeds the
+    /// cap.
+    ///
+    /// Every server is placed at its closest-policy load (a child's whole
+    /// flow, or a node's residual flow), at the smallest mode that fits
+    /// it, so the tallies are those of the placement's
+    /// [`ModePolicy::LowestFeasible`](replica_model::ModePolicy)
+    /// evaluation.
+    fn run(&mut self, instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<(f64, f64)> {
+        assert!(tau > 0.0 && tau <= 1.0, "threshold must be in (0, 1]");
+        let tree = instance.tree();
+        let modes = instance.modes();
+        let cap = modes.capacity(cap_mode);
+        let Pass {
+            flow,
+            contributions,
+            placed,
+            empty,
+            counts,
+        } = self;
+        placed.clear();
+        counts.reset_to(empty);
+        let mut place = |node: NodeId, mode: ModeIdx| {
+            placed.push((node, mode));
+            counts.add_server(instance, node, mode);
+        };
+
+        for &node in tree.post_order() {
+            let direct = tree.client_load(node);
+            if direct > cap {
+                return None;
             }
-            f += fc;
-        }
-        if f > cap {
-            // Mandatory absorption, largest flow first; among equal flows
-            // prefer pre-existing children (cheaper reuse).
-            contributions.sort_unstable_by(|a, b| b.cmp(a));
-            for &(fc, _, c) in &contributions {
-                let mode = modes
-                    .mode_for_load(fc)
-                    .expect("child flows are ≤ cap ≤ W_M");
-                placement.insert(c, mode);
-                f -= fc;
-                if f <= cap {
-                    break;
+            let mut f = direct;
+            contributions.clear();
+            for &c in tree.children(node) {
+                let fc = flow[c.index()];
+                if fc > 0 {
+                    contributions.push((fc, instance.pre_existing_mode(c).is_some(), c));
+                }
+                f += fc;
+            }
+            if f > cap {
+                // Mandatory absorption, largest flow first; among equal
+                // flows prefer pre-existing children (cheaper reuse).
+                contributions.sort_unstable_by(|a, b| b.cmp(a));
+                for &(fc, _, c) in contributions.iter() {
+                    let mode = modes
+                        .mode_for_load(fc)
+                        .expect("child flows are ≤ cap ≤ W_M");
+                    place(c, mode);
+                    f -= fc;
+                    if f <= cap {
+                        break;
+                    }
                 }
             }
-        }
-        // Opportunistic placement: absorb here if the fitting mode would be
-        // well utilized (or unconditionally at the root, where flow must
-        // end).
-        let is_root = node == tree.root();
-        if f > 0 {
-            let mode = modes.mode_for_load(f).expect("f ≤ cap ≤ W_M here");
-            let fill = f as f64 / modes.capacity(mode) as f64;
-            if is_root || fill >= tau {
-                placement.insert(node, mode);
-                f = 0;
+            // Opportunistic placement: absorb here if the fitting mode
+            // would be well utilized (or unconditionally at the root,
+            // where flow must end).
+            let is_root = node == tree.root();
+            if f > 0 {
+                let mode = modes.mode_for_load(f).expect("f ≤ cap ≤ W_M here");
+                let fill = f as f64 / modes.capacity(mode) as f64;
+                if is_root || fill >= tau {
+                    place(node, mode);
+                    f = 0;
+                }
             }
+            flow[node.index()] = f;
         }
-        flow[node.index()] = f;
+        Some(counts.cost_and_power(instance))
     }
-    Some(placement)
+
+    /// The last pass as a result, scored `cost` / `power`.
+    fn result(&self, instance: &Instance, cost: f64, power: f64) -> HeuristicResult {
+        let mut placement = Placement::empty(instance.tree());
+        for &(node, mode) in &self.placed {
+            placement.insert(node, mode);
+        }
+        HeuristicResult {
+            placement,
+            cost,
+            power,
+            servers: self.placed.len() as u64,
+        }
+    }
+}
+
+/// One bottom-up pass capped at mode `cap_mode` with fill threshold `tau`,
+/// scored from its tallies (no budget applied); `None` when some client
+/// bundle exceeds the cap.
+pub fn single_pass(instance: &Instance, cap_mode: ModeIdx, tau: f64) -> Option<HeuristicResult> {
+    let mut pass = Pass::new(instance);
+    let (cost, power) = pass.run(instance, cap_mode, tau)?;
+    Some(pass.result(instance, cost, power))
 }
 
 /// Sweeps the full `(cap, τ)` grid with the default thresholds.
@@ -90,22 +166,24 @@ pub fn solve(instance: &Instance, cost_bound: f64) -> Result<HeuristicResult, Mo
     solve_with_thresholds(instance, cost_bound, DEFAULT_THRESHOLDS)
 }
 
-/// Sweeps the full `(cap, τ)` grid with an explicit threshold grid.
+/// Sweeps the full `(cap, τ)` grid with an explicit threshold grid. Each
+/// pass is scored from its tallies, and only a pass that beats the
+/// incumbent builds its placement.
 pub fn solve_with_thresholds(
     instance: &Instance,
     cost_bound: f64,
     thresholds: &[f64],
 ) -> Result<HeuristicResult, ModelError> {
+    let mut pass = Pass::new(instance);
     let mut best: Option<HeuristicResult> = None;
     for cap_mode in instance.modes().indices() {
         for &tau in thresholds {
-            let Some(placement) = single_pass(instance, cap_mode, tau) else {
+            let Some((cost, power)) = pass.run(instance, cap_mode, tau) else {
                 continue;
             };
-            if let Some(candidate) = score(instance, &placement, cost_bound) {
-                if best.as_ref().is_none_or(|b| better(&candidate, b)) {
-                    best = Some(candidate);
-                }
+            if le_tolerant(cost, cost_bound) && best.as_ref().is_none_or(|b| better(power, cost, b))
+            {
+                best = Some(pass.result(instance, cost, power));
             }
         }
     }
@@ -149,7 +227,7 @@ mod tests {
         for seed in 0..5 {
             let inst = instance(50 + seed, 30);
             if let Some(p) = single_pass(&inst, 0, 0.8) {
-                for (_, mode) in p.servers() {
+                for (_, mode) in p.placement.servers() {
                     assert_eq!(mode, 0, "cap at W₁ must never assign W₂");
                 }
             }

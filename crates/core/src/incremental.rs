@@ -42,11 +42,15 @@
 //! greedy (`GR` of §5.2) **warm-started** on the already-fresh flat layout
 //! — no rebuild, no table work — and crucially leaves the dirty marks in
 //! place, so the next exact [`IncrementalDp::resolve`] reconciles
-//! everything that accumulated since the last DP epoch.
+//! everything that accumulated since the last DP epoch. The fallback is
+//! [`greedy_power::solve`]'s sweep driver over that layout: it scores
+//! each trial capacity from its servers' tallies and builds only the
+//! winner's placement.
 
 use crate::dp_power_pruned::{PrunedScratch, Triple};
-use crate::greedy::{greedy_min_replicas_flat, GreedyScratch};
-use replica_model::{le_tolerant, Instance, ModePolicy, ModelError, Placement, Solution};
+use crate::greedy::GreedyScratch;
+use crate::greedy_power;
+use replica_model::{Instance, ModelError, Placement};
 use replica_tree::{ClientId, DirtySet};
 
 /// A persistent pruned-DP solver over one instance with mutable demand.
@@ -288,46 +292,22 @@ impl IncrementalDp {
 
     /// Latency-bound epoch: the capacity-swept greedy baseline (`GR`,
     /// §5.2) warm-started on the incrementally-maintained flat layout,
-    /// within the construction-time cost bound.
+    /// within the construction-time cost bound. It runs the sweep driver
+    /// of [`greedy_power::solve`], so it returns what a fresh `solve` of
+    /// the current instance returns, placement and score bits alike.
     ///
     /// Dirty marks are deliberately **not** cleared — the tables stay
     /// stale, and the next [`IncrementalDp::resolve`] recomputes every
     /// position dirtied since the last exact epoch, restoring bit-exact
     /// state as if the fallback had never run.
     pub fn greedy_fallback(&mut self) -> Result<(Placement, f64, f64), ModelError> {
-        let cost_bound = self.cost_bound;
-        let lo = self.instance.modes().capacity(0);
-        let hi = self.instance.max_capacity();
-        let mut best: Option<(Placement, f64, f64)> = None;
-        for w in lo..=hi {
-            let Ok(greedy) = greedy_min_replicas_flat(&self.scratch.flat, w, &mut self.greedy)
-            else {
-                continue;
-            };
-            // Re-moding to the lowest feasible mode cannot fail: every
-            // greedy load is ≤ w ≤ W_M.
-            let sol = Solution::evaluate_with_policy(
-                &self.instance,
-                &greedy.placement,
-                ModePolicy::LowestFeasible,
-            )
-            .expect("greedy placements with trial W ≤ W_M are feasible");
-            if !le_tolerant(sol.cost, cost_bound) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((_, bc, bp)) => sol.power.total_cmp(bp).then(sol.cost.total_cmp(bc)).is_lt(),
-            };
-            if better {
-                best = Some((sol.placement.clone(), sol.cost, sol.power));
-            }
-        }
-        best.ok_or_else(|| {
-            ModelError::Infeasible(format!(
-                "greedy sweep finds nothing under cost {cost_bound}"
-            ))
-        })
+        let best = greedy_power::solve_flat(
+            &self.instance,
+            &self.scratch.flat,
+            &mut self.greedy,
+            self.cost_bound,
+        )?;
+        Ok((best.placement, best.cost, best.power))
     }
 }
 
@@ -337,7 +317,7 @@ mod tests {
     use crate::dp_power_pruned::solve_min_power_bounded_cost;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use replica_model::{CostModel, ModeSet, PowerModel, PreExisting};
+    use replica_model::{CostModel, ModeSet, PowerModel, PreExisting, Solution};
     use replica_tree::{generate, GeneratorConfig};
 
     fn instance(seed: u64, nodes: usize) -> Instance {

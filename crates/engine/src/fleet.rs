@@ -372,18 +372,38 @@ fn scale_stats(stats: Stats, factor: f64) -> Stats {
 }
 
 /// Incremental FNV-1a over anything `write!`-able (the cell checksum
-/// never materializes the formatted line).
-struct FnvHasher(u64);
+/// never materializes the formatted line). A shard merge also runs a
+/// shard-local lane, restarted per shard, so each digest line is
+/// formatted once and hashed into both.
+struct FnvHasher {
+    fleet: u64,
+    shard: Option<u64>,
+}
 
 impl FnvHasher {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        FnvHasher {
+            fleet: Self::OFFSET,
+            shard: None,
+        }
+    }
+
+    fn hash(mut h: u64, s: &str) -> u64 {
+        for byte in s.bytes() {
+            h = (h ^ byte as u64).wrapping_mul(Self::PRIME);
+        }
+        h
+    }
 }
 
 impl fmt::Write for FnvHasher {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for byte in s.bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(Self::PRIME);
+        self.fleet = Self::hash(self.fleet, s);
+        if let Some(shard) = &mut self.shard {
+            *shard = Self::hash(*shard, s);
         }
         Ok(())
     }
@@ -396,7 +416,7 @@ impl<M: MetricSink> Aggregation<M> {
             scenario_base: HashMap::new(),
             has_reference,
             cell_count: 0,
-            checksum: FnvHasher(FnvHasher::OFFSET),
+            checksum: FnvHasher::new(),
         }
     }
 
@@ -514,7 +534,7 @@ impl<M: MetricSink> Aggregation<M> {
         FleetReport {
             summaries,
             cell_count: self.cell_count,
-            cell_checksum: self.checksum.0,
+            cell_checksum: self.checksum.fleet,
         }
     }
 }
@@ -727,11 +747,19 @@ impl FleetFold {
         self.agg.cell_count
     }
 
-    /// Running FNV-1a checksum over the folded cells' digest lines (the
-    /// shard-prefix value: after folding shards `0..=k` this equals the
-    /// checksum of a single run over those shards' jobs).
-    pub fn checksum(&self) -> u64 {
-        self.agg.checksum.0
+    /// Restarts the shard-local checksum: from here on
+    /// [`FleetFold::shard_checksum`] covers only the cells folded since,
+    /// which is the checksum a worker that ran just those jobs reports.
+    /// The running checksum goes on; each cell's digest line is formatted
+    /// once and hashed into both.
+    pub fn begin_shard(&mut self) {
+        self.agg.checksum.shard = Some(FnvHasher::OFFSET);
+    }
+
+    /// FNV-1a checksum over the cells folded since the last
+    /// [`FleetFold::begin_shard`]; `None` before the first.
+    pub fn shard_checksum(&self) -> Option<u64> {
+        self.agg.checksum.shard
     }
 
     /// Final snapshot.
@@ -1368,10 +1396,13 @@ mod tests {
                 let shard = fleet
                     .run_shard(&jobs[..], range, record, &Obs::noop(), None)
                     .expect("no cancel token given");
-                // Coordinator side, canonical route: replay the cells.
+                // Coordinator side, canonical route: replay the cells,
+                // reproducing the worker's shard-local checksum on the way.
+                fold.begin_shard();
                 for (scenario, instance, row) in rows {
                     fold.fold_row(&scenario, instance, row);
                 }
+                assert_eq!(fold.shard_checksum(), Some(shard.report.cell_checksum));
                 // Coordinator side, state route: merge the group states.
                 merged_groups = Some(match merged_groups.take() {
                     None => shard.groups,

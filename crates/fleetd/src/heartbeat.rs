@@ -495,6 +495,20 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_without_attempt_decodes_as_attempt_zero() {
+        let fields = r#""shard":1,"pid":7,"state":"Done","jobs_done":10,"jobs_total":10,"cells_done":30,"updated_unix_ms":5"#;
+        let hb: Heartbeat = serde_json::from_str(&format!("{{{fields}}}")).unwrap();
+        assert_eq!(hb, beat(1, WorkerState::Done, 10, 5));
+        let hb: Heartbeat = serde_json::from_str(&format!(r#"{{"attempt":2,{fields}}}"#)).unwrap();
+        assert_eq!(hb.attempt, 2);
+        // `default` covers an absent key only: an explicit null is still
+        // not a usize.
+        let err = serde_json::from_str::<Heartbeat>(&format!(r#"{{"attempt":null,{fields}}}"#))
+            .unwrap_err();
+        assert!(err.to_string().contains("Heartbeat.attempt"), "{err}");
+    }
+
+    #[test]
     fn staleness_is_judged_by_the_reader() {
         let now = 100_000;
         let fresh = beat(0, WorkerState::Running, 3, now - 1_000);

@@ -31,7 +31,14 @@ pub fn merge_reports(
     plan: &ShardPlan,
     reports: &[ShardReport],
 ) -> Result<FleetReport, FleetdError> {
-    let mut ordered: Vec<&ShardReport> = reports.iter().collect();
+    merge_borrowed(plan, reports.iter().collect())
+}
+
+/// [`merge_reports`] over borrowed reports.
+fn merge_borrowed(
+    plan: &ShardPlan,
+    mut ordered: Vec<&ShardReport>,
+) -> Result<FleetReport, FleetdError> {
     ordered.sort_by_key(|r| r.shard);
     if ordered.len() != plan.shards.len() {
         return Err(FleetdError::Protocol(format!(
@@ -60,7 +67,7 @@ pub fn merge_reports(
         .collect::<Result<_, _>>()?;
     let reference = plan.campaign.fleet_config().resolved_reference();
 
-    let mut fold = FleetFold::new(solvers.clone(), reference.clone());
+    let mut fold = FleetFold::new(solvers.clone(), reference);
     let mut merged_groups: Vec<GroupState> = Vec::new();
 
     for (manifest, report) in plan.shards.iter().zip(&ordered) {
@@ -89,19 +96,18 @@ pub fn merge_reports(
             )));
         }
 
-        // Canonical route: replay this shard's cells — through a
-        // shard-local fold first (integrity: its checksum must reproduce
-        // the worker's), then into the campaign-wide fold.
-        let mut local = FleetFold::new(solvers.clone(), reference.clone());
+        // Canonical route: replay this shard's cells into the
+        // campaign-wide fold, whose shard-local checksum must reproduce
+        // the worker's (integrity).
+        fold.begin_shard();
         for (scenario, instance, row) in rows_of(report, &solvers)? {
-            local.fold_row(scenario, instance, row.clone());
             fold.fold_row(scenario, instance, row);
         }
-        if local.checksum() != report.checksum {
+        let replayed = fold.shard_checksum().expect("a shard was begun");
+        if replayed != report.checksum {
             return Err(FleetdError::Protocol(format!(
-                "{context}: replayed checksum {:016x} != worker checksum {:016x} \
+                "{context}: replayed checksum {replayed:016x} != worker checksum {:016x} \
                  (corrupted report)",
-                local.checksum(),
                 report.checksum
             )));
         }
@@ -145,9 +151,10 @@ pub fn merge_reports(
 /// them *over* a retry is exactly the corruption the fence exists to
 /// prevent); a shard whose winning attempt is missing, or that has no
 /// winner at all, is a typed protocol error naming the shard and
-/// attempt. The payload merge itself is [`merge_reports`] unchanged,
-/// so fencing cannot perturb determinism: the survivors replay through
-/// the same fold, checksums and cross-checks included.
+/// attempt. The payload merge itself is [`merge_reports`]'s, run over
+/// the borrowed winners, so fencing cannot perturb determinism: the
+/// survivors replay through the same fold, checksums and cross-checks
+/// included.
 pub fn merge_reports_fenced(
     plan: &ShardPlan,
     reports: &[ShardReport],
@@ -175,9 +182,9 @@ pub fn merge_reports_fenced(
                     "shard {shard} attempt {attempt}: winning report missing from the pool"
                 ))
             })?;
-        fenced.push(report.clone());
+        fenced.push(report);
     }
-    merge_reports(plan, &fenced)
+    merge_borrowed(plan, fenced)
 }
 
 /// Iterates a shard report's cells as job rows `(scenario, instance,
@@ -256,6 +263,20 @@ mod tests {
         let mut reports: Vec<ShardReport> = (0..3).map(|k| run_shard(&plan, k).unwrap()).collect();
         reports.reverse();
         let merged = merge_reports(&plan, &reports).unwrap();
+        assert_eq!(merged.digest(), single_process_digest(&plan));
+    }
+
+    #[test]
+    fn a_report_without_attempt_decodes_as_attempt_zero_and_merges() {
+        let plan = tiny_plan(1);
+        let report = run_shard(&plan, 0).unwrap();
+        let json = serde_json::to_string(&report).unwrap();
+        let without = json.replacen(r#""attempt":0,"#, "", 1);
+        assert_ne!(without, json, "the report names its attempt");
+        let decoded: ShardReport = serde_json::from_str(&without).unwrap();
+        assert_eq!(decoded.attempt, 0);
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
+        let merged = merge_reports_fenced(&plan, &[decoded], &[Some(0)]).unwrap();
         assert_eq!(merged.digest(), single_process_digest(&plan));
     }
 

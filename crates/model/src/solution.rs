@@ -8,7 +8,9 @@
 use crate::assignment::Assignment;
 use crate::error::ModelError;
 use crate::instance::Instance;
+use crate::modes::ModeIdx;
 use crate::placement::Placement;
+use replica_tree::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// How to decide the operated mode of each server when evaluating.
@@ -35,15 +37,6 @@ pub struct SolutionCounts {
 }
 
 impl SolutionCounts {
-    /// Zeroed tallies for `modes` modes.
-    pub fn zero(modes: usize) -> Self {
-        SolutionCounts {
-            new_by_mode: vec![0; modes],
-            reused: vec![vec![0; modes]; modes],
-            deleted_by_mode: vec![0; modes],
-        }
-    }
-
     /// Total number of servers `R = Σnᵢ + Σeᵢᵢ'`.
     pub fn total_servers(&self) -> u64 {
         self.new_by_mode.iter().sum::<u64>() + self.reused.iter().flatten().sum::<u64>()
@@ -57,6 +50,59 @@ impl SolutionCounts {
     /// Number of deleted pre-existing servers `Σkᵢ`.
     pub fn deleted_total(&self) -> u64 {
         self.deleted_by_mode.iter().sum()
+    }
+
+    /// The tallies of the empty placement on `instance`: no server, and
+    /// every pre-existing server deleted (`kᵢ = Eᵢ`). A placement is
+    /// tallied into it server by server with
+    /// [`SolutionCounts::add_server`].
+    pub fn empty(instance: &Instance) -> Self {
+        let m = instance.mode_count();
+        SolutionCounts {
+            new_by_mode: vec![0; m],
+            reused: vec![vec![0; m]; m],
+            deleted_by_mode: instance.pre_existing().count_by_mode(m),
+        }
+    }
+
+    /// Overwrites these tallies with `empty`'s (see
+    /// [`SolutionCounts::empty`]) in place, so a sweep that tallies one
+    /// candidate after another reuses one set of buffers.
+    pub fn reset_to(&mut self, empty: &SolutionCounts) {
+        self.new_by_mode.copy_from_slice(&empty.new_by_mode);
+        for (row, from) in self.reused.iter_mut().zip(&empty.reused) {
+            row.copy_from_slice(from);
+        }
+        self.deleted_by_mode.copy_from_slice(&empty.deleted_by_mode);
+    }
+
+    /// Tallies one server at `node` operated at `mode`: a reuse
+    /// `e_{orig,mode}` of the pre-existing server there, which is then
+    /// no longer deleted, or else a new server `n_mode`. Each node is
+    /// added at most once.
+    #[inline]
+    pub fn add_server(&mut self, instance: &Instance, node: NodeId, mode: ModeIdx) {
+        match instance.pre_existing_mode(node) {
+            Some(orig) => {
+                self.reused[orig][mode] += 1;
+                self.deleted_by_mode[orig] -= 1;
+            }
+            None => self.new_by_mode[mode] += 1,
+        }
+    }
+
+    /// Eq. 4 cost and Eq. 3 power of the tallied servers on `instance`.
+    /// [`Solution::evaluate_with_policy`] and the heuristic sweeps in
+    /// `replica-core` both score through here, so equal tallies give
+    /// bit-equal scores.
+    pub fn cost_and_power(&self, instance: &Instance) -> (f64, f64) {
+        let cost = instance
+            .cost()
+            .total(&self.new_by_mode, &self.reused, &self.deleted_by_mode);
+        let power = instance
+            .power()
+            .total(instance.modes(), &self.by_operated_mode());
+        (cost, power)
     }
 
     /// Servers per *operated* mode (`by_mode[i'] = nᵢ' + Σᵢ eᵢᵢ'`), the
@@ -128,25 +174,11 @@ impl Solution {
 
         assignment.validate(tree, &placement, modes)?;
 
-        let m = modes.count();
-        let mut counts = SolutionCounts::zero(m);
+        let mut counts = SolutionCounts::empty(instance);
         for (node, mode) in placement.servers() {
-            match instance.pre_existing_mode(node) {
-                Some(orig) => counts.reused[orig][mode] += 1,
-                None => counts.new_by_mode[mode] += 1,
-            }
+            counts.add_server(instance, node, mode);
         }
-        for (node, orig) in instance.pre_existing().iter() {
-            if !placement.has_server(node) {
-                counts.deleted_by_mode[orig] += 1;
-            }
-        }
-
-        let cost =
-            instance
-                .cost()
-                .total(&counts.new_by_mode, &counts.reused, &counts.deleted_by_mode);
-        let power = instance.power().total(modes, &counts.by_operated_mode());
+        let (cost, power) = counts.cost_and_power(instance);
         Ok(Solution {
             placement,
             assignment,
