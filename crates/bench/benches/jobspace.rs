@@ -46,8 +46,7 @@ fn bench_generation(c: &mut Criterion) {
 fn bench_worker_startup(c: &mut Criterion) {
     let campaign = standard_campaign(SEED, NODES, PER_SCENARIO, ["greedy_power"]);
     let registry = Registry::with_all();
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config())
-        .expect("validated campaigns configure valid fleets");
+    let fleet = Fleet::new(&registry, &campaign).expect("validated campaigns build valid fleets");
     let space = campaign.space();
     let range = 0..space.len() / SHARDS;
 

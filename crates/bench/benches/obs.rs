@@ -29,8 +29,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         ["dp_power", "greedy_power", "heur_power_greedy"],
     );
     let registry = Registry::with_all();
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config())
-        .expect("validated campaigns configure valid fleets");
+    let fleet = Fleet::new(&registry, &campaign).expect("validated campaigns build valid fleets");
     let space = campaign.space();
 
     let mut group = c.benchmark_group("obs_overhead");

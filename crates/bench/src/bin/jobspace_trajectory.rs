@@ -63,8 +63,7 @@ fn main() {
     });
 
     let registry = Registry::with_all();
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config())
-        .expect("validated campaigns configure valid fleets");
+    let fleet = Fleet::new(&registry, &campaign).expect("validated campaigns build valid fleets");
     let range = 0..shard_len;
     let worker_eager = median_ms(|| {
         let jobs = space.materialize();

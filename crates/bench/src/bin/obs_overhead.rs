@@ -60,8 +60,7 @@ fn main() {
         ["dp_power", "greedy_power", "heur_power_greedy"],
     );
     let registry = Registry::with_all();
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config())
-        .expect("validated campaigns configure valid fleets");
+    let fleet = Fleet::new(&registry, &campaign).expect("validated campaigns build valid fleets");
     let space = campaign.space();
     let jobs = replica_engine::JobSpace::len(&space);
 

@@ -8,10 +8,14 @@
 //! p50/p90), server counts, wall-clock means, and speedups against a
 //! reference solver (the exact DP by default). The full cell matrix is
 //! **never materialized** — peak memory is bounded by one batch of jobs
-//! ([`FleetConfig::batch_jobs`] × solver count) plus the fixed-size
+//! ([`Campaign::batch_jobs`] × solver count) plus the fixed-size
 //! accumulators, so fleets scale past what `instances × solvers` cells
 //! would fit in memory. Callers who want the raw per-cell stream tap it
 //! via [`Fleet::run_shard`]'s `observe` closure.
+//!
+//! A fleet is built from a validated [`Campaign`] ([`Fleet::new`]), which
+//! fixes the solver lineup, the reference, the seed and the batching;
+//! the registry rows and the reference are resolved once, there.
 //!
 //! Determinism: per-instance solver seeds derive from the fleet seed via
 //! [`seeding::mix`]; jobs are solved in parallel batch by batch, but each
@@ -43,7 +47,7 @@ use crate::jobspace::JobSpace;
 use crate::registry::Registry;
 use crate::seeding;
 use crate::solver::{SolveOptions, Solver};
-use crate::spec::SpecError;
+use crate::spec::{Campaign, SpecError};
 use crate::stream::{MetricAccumulator, MetricSink, RecordedMetric, Stats};
 use rayon::prelude::*;
 use replica_model::Instance;
@@ -97,87 +101,6 @@ pub struct FleetJob {
     pub index: usize,
     /// The instance itself.
     pub instance: Instance,
-}
-
-/// Configuration of a fleet run.
-#[derive(Clone, Debug)]
-pub struct FleetConfig {
-    /// Solver names to evaluate (must exist in the registry).
-    pub solvers: Vec<String>,
-    /// Options handed to every solve (the per-instance seed is derived
-    /// from [`FleetConfig::seed`], overriding `options.seed`).
-    pub options: SolveOptions,
-    /// Fleet seed: drives per-instance solver seeds.
-    pub seed: u64,
-    /// Reference solver for gap/speedup columns (defaults to `dp_power`
-    /// when present among [`FleetConfig::solvers`], then `dp_power_full`).
-    pub reference: Option<String>,
-    /// Worker-thread override (`None` = machine default). Results are
-    /// identical for every value; only wall-clock changes.
-    pub threads: Option<usize>,
-    /// Jobs solved in parallel per streaming batch: the peak-memory knob.
-    /// Results are identical for every valid value; only scheduling
-    /// granularity changes. Must be at least 1 — [`Fleet::new`] rejects
-    /// `0` as a configuration error (a zero-job batch cannot make
-    /// progress, and silently clamping it would hide the typo).
-    pub batch_jobs: usize,
-}
-
-impl FleetConfig {
-    /// Validates the configuration against `registry` with the typed
-    /// [`SpecError`] of the spec/config path: every solver name must be
-    /// a registry key (unknown names come with a did-you-mean
-    /// suggestion), the lineup must be duplicate-free, an explicit
-    /// reference must be part of the lineup, `batch_jobs` and `threads`
-    /// must be positive, and the cost bound must be a valid budget.
-    pub fn validate(&self, registry: &Registry) -> Result<(), SpecError> {
-        crate::spec::validate_lineup(&self.solvers, self.reference.as_deref(), registry)?;
-        if self.batch_jobs == 0 {
-            return Err(SpecError::ZeroBatchJobs);
-        }
-        if self.threads == Some(0) {
-            return Err(SpecError::ZeroThreads);
-        }
-        if self.options.cost_bound.is_nan() || self.options.cost_bound < 0.0 {
-            return Err(SpecError::InvalidCostBound {
-                value: self.options.cost_bound,
-            });
-        }
-        Ok(())
-    }
-
-    /// The reference solver this configuration resolves to: the explicit
-    /// [`FleetConfig::reference`] when set, else the fast pruned DP over
-    /// the full-state one, whichever appears among
-    /// [`FleetConfig::solvers`] (regardless of position).
-    ///
-    /// Shared with `replica-fleetd` so sharded and in-process runs agree
-    /// on the gap/speedup baseline by construction.
-    pub fn resolved_reference(&self) -> Option<String> {
-        self.reference.clone().or_else(|| {
-            ["dp_power", "dp_power_full"]
-                .into_iter()
-                .find(|p| self.solvers.iter().any(|s| s == p))
-                .map(str::to_string)
-        })
-    }
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            solvers: vec![
-                "greedy_power".into(),
-                "heur_power_greedy".into(),
-                "dp_power".into(),
-            ],
-            options: SolveOptions::default(),
-            seed: 0xF1EE7,
-            reference: None,
-            threads: None,
-            batch_jobs: 64,
-        }
-    }
 }
 
 /// The deterministic part of one solve.
@@ -345,13 +268,16 @@ impl<M: MetricSink> GroupAcc<M> {
 
 /// The sequential fold target: group accumulators in first-appearance
 /// order plus the fleet-level cell fingerprint. Groups for a scenario
-/// occupy `solvers.len()` consecutive slots (config solver order), so
+/// occupy `solvers.len()` consecutive slots (campaign solver order), so
 /// the per-cell lookup is one borrowed-key map probe — the fold's hot
 /// path allocates nothing.
 struct Aggregation<M> {
     groups: Vec<GroupAcc<M>>,
     scenario_base: HashMap<String, usize>,
-    has_reference: bool,
+    /// Solver names in cell-row order.
+    solvers: Vec<&'static str>,
+    /// The gap/speedup reference's slot in `solvers`.
+    reference: Option<usize>,
     cell_count: usize,
     checksum: FnvHasher,
 }
@@ -381,40 +307,31 @@ struct FnvHasher {
 }
 
 impl FnvHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     fn new() -> Self {
         FnvHasher {
-            fleet: Self::OFFSET,
+            fleet: seeding::FNV_OFFSET,
             shard: None,
         }
-    }
-
-    fn hash(mut h: u64, s: &str) -> u64 {
-        for byte in s.bytes() {
-            h = (h ^ byte as u64).wrapping_mul(Self::PRIME);
-        }
-        h
     }
 }
 
 impl fmt::Write for FnvHasher {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.fleet = Self::hash(self.fleet, s);
+        self.fleet = seeding::fnv1a(self.fleet, s.as_bytes());
         if let Some(shard) = &mut self.shard {
-            *shard = Self::hash(*shard, s);
+            *shard = seeding::fnv1a(*shard, s.as_bytes());
         }
         Ok(())
     }
 }
 
 impl<M: MetricSink> Aggregation<M> {
-    fn new(has_reference: bool) -> Self {
+    fn new(solvers: Vec<&'static str>, reference: Option<usize>) -> Self {
         Aggregation {
             groups: Vec::new(),
             scenario_base: HashMap::new(),
-            has_reference,
+            solvers,
+            reference,
             cell_count: 0,
             checksum: FnvHasher::new(),
         }
@@ -422,12 +339,12 @@ impl<M: MetricSink> Aggregation<M> {
 
     /// First group slot of `scenario`, creating the scenario's group row
     /// on first appearance.
-    fn scenario_base(&mut self, scenario: &str, solvers: &[&'static str]) -> usize {
+    fn scenario_base(&mut self, scenario: &str) -> usize {
         if let Some(&base) = self.scenario_base.get(scenario) {
             return base;
         }
         let base = self.groups.len();
-        for solver in solvers {
+        for solver in &self.solvers {
             self.groups
                 .push(GroupAcc::new(scenario.to_string(), solver));
         }
@@ -441,19 +358,22 @@ impl<M: MetricSink> Aggregation<M> {
         scenario: &str,
         instance: usize,
         row: Vec<(CellResult, f64)>,
-        solvers: &[&'static str],
-        reference_slot: Option<usize>,
         observe: &mut dyn FnMut(&FleetCell),
     ) {
-        assert_eq!(row.len(), solvers.len(), "cell row width != solver count");
-        let base = self.scenario_base(scenario, solvers);
-        let reference = reference_slot
+        assert_eq!(
+            row.len(),
+            self.solvers.len(),
+            "cell row width != solver count"
+        );
+        let base = self.scenario_base(scenario);
+        let reference = self
+            .reference
             .and_then(|s| row[s].0.outcome().map(|outcome| (outcome.power, row[s].1)));
         for (s, (result, wall_seconds)) in row.into_iter().enumerate() {
             let cell = FleetCell {
                 scenario,
                 instance,
-                solver: solvers[s],
+                solver: self.solvers[s],
                 result,
                 wall_seconds,
             };
@@ -487,8 +407,9 @@ impl<M: MetricSink> Aggregation<M> {
     }
 
     /// Final snapshot: summaries in first-appearance order.
-    fn finish(self, reference: Option<&str>) -> FleetReport {
+    fn finish(self) -> FleetReport {
         // Reference mean wall per scenario, for the speedup column.
+        let reference = self.reference.map(|s| self.solvers[s]);
         let ref_wall: HashMap<&str, f64> = self
             .groups
             .iter()
@@ -496,7 +417,7 @@ impl<M: MetricSink> Aggregation<M> {
             .map(|g| (g.scenario.as_str(), g.wall_sum / g.solved as f64))
             .collect();
 
-        let has_reference = self.has_reference;
+        let has_reference = reference.is_some();
         let summaries = self
             .groups
             .iter()
@@ -705,46 +626,18 @@ impl GroupState {
 /// same sequential fold as [`Fleet::run`], the finished report (aggregates,
 /// cell count **and** FNV cell checksum) is byte-identical to the
 /// single-process run by construction. Memory stays bounded by the group
-/// accumulators — folded rows are dropped immediately.
+/// accumulators — folded rows are dropped immediately. An empty fold
+/// comes from [`Fleet::fold`], over that fleet's lineup and reference.
 pub struct FleetFold {
     agg: Aggregation<MetricAccumulator>,
-    solvers: Vec<&'static str>,
-    reference: Option<String>,
-    reference_slot: Option<usize>,
 }
 
 impl FleetFold {
-    /// A fold over rows of `solvers.len()` cells each, with gap/speedup
-    /// columns against `reference` (when it names one of `solvers`).
-    pub fn new(solvers: Vec<&'static str>, reference: Option<String>) -> Self {
-        let reference_slot = reference
-            .as_deref()
-            .and_then(|r| solvers.iter().position(|s| *s == r));
-        FleetFold {
-            agg: Aggregation::new(reference.is_some()),
-            solvers,
-            reference,
-            reference_slot,
-        }
-    }
-
     /// Folds one job's row of cells (one per solver, in solver order).
     /// Rows must arrive in job order for the determinism contract to
     /// hold.
     pub fn fold_row(&mut self, scenario: &str, instance: usize, row: Vec<(CellResult, f64)>) {
-        self.agg.fold_row(
-            scenario,
-            instance,
-            row,
-            &self.solvers,
-            self.reference_slot,
-            &mut |_| {},
-        );
-    }
-
-    /// Cells folded so far.
-    pub fn cell_count(&self) -> usize {
-        self.agg.cell_count
+        self.agg.fold_row(scenario, instance, row, &mut |_| {});
     }
 
     /// Restarts the shard-local checksum: from here on
@@ -753,7 +646,7 @@ impl FleetFold {
     /// The running checksum goes on; each cell's digest line is formatted
     /// once and hashed into both.
     pub fn begin_shard(&mut self) {
-        self.agg.checksum.shard = Some(FnvHasher::OFFSET);
+        self.agg.checksum.shard = Some(seeding::FNV_OFFSET);
     }
 
     /// FNV-1a checksum over the cells folded since the last
@@ -764,8 +657,7 @@ impl FleetFold {
 
     /// Final snapshot.
     pub fn finish(self) -> FleetReport {
-        let reference = self.reference;
-        self.agg.finish(reference.as_deref())
+        self.agg.finish()
     }
 }
 
@@ -779,35 +671,54 @@ pub struct ShardRun {
     pub groups: Vec<GroupState>,
 }
 
-/// The runner itself: a registry plus a configuration.
+/// The runner itself: a validated campaign's solver rows, reference and
+/// run settings, resolved once by [`Fleet::new`].
 pub struct Fleet<'r> {
-    registry: &'r Registry,
-    config: FleetConfig,
+    /// Registry rows of the lineup, in cell-row order.
+    solvers: Vec<&'r Solver>,
+    /// Their names, in the same order.
+    names: Vec<&'static str>,
+    /// The gap/speedup reference's slot in the lineup.
+    reference: Option<usize>,
+    cost_bound: f64,
+    seed: u64,
+    threads: Option<usize>,
+    batch_jobs: usize,
 }
 
 impl<'r> Fleet<'r> {
-    /// Builds a runner over `registry`.
-    ///
-    /// # Panics
-    ///
-    /// On configuration errors ([`FleetConfig::validate`]): an unknown
-    /// or duplicated solver name, a reference outside the lineup,
-    /// `batch_jobs == 0` (a zero-job streaming batch cannot make
-    /// progress; the typo used to be silently clamped to 1, now it is
-    /// rejected up front), `threads == Some(0)`, or an invalid cost
-    /// bound. [`Fleet::try_new`] is the non-panicking form.
-    pub fn new(registry: &'r Registry, config: FleetConfig) -> Self {
-        Self::try_new(registry, config)
-            .unwrap_or_else(|e| panic!("fleet configured with an invalid FleetConfig: {e}"))
+    /// Builds the runner for `campaign` over `registry`, the one way to
+    /// build a fleet. It validates the campaign ([`Campaign::validate`]),
+    /// so one read off the wire is checked before any job runs, and
+    /// looks each solver up once. The gap/speedup reference is
+    /// [`Campaign::reference`] when set, else `dp_power`, else
+    /// `dp_power_full`, whichever the lineup holds; with neither, the
+    /// gap and speedup columns stay empty.
+    pub fn new(registry: &'r Registry, campaign: &Campaign) -> Result<Self, SpecError> {
+        let solvers = campaign.solver_rows(registry)?;
+        let names: Vec<&'static str> = solvers.iter().map(|s| s.name()).collect();
+        let slot = |name: &str| names.iter().position(|n| *n == name);
+        let reference = match campaign.reference.as_deref() {
+            Some(name) => slot(name),
+            None => ["dp_power", "dp_power_full"].into_iter().find_map(slot),
+        };
+        Ok(Fleet {
+            solvers,
+            names,
+            reference,
+            cost_bound: campaign.cost_bound.unwrap_or(f64::INFINITY),
+            seed: campaign.seed,
+            threads: campaign.threads,
+            batch_jobs: campaign.batch_jobs,
+        })
     }
 
-    /// Builds a runner over `registry`, rejecting configuration errors
-    /// with the typed [`SpecError`] instead of panicking — the entry
-    /// point the spec path ([`crate::spec::Campaign::fleet_config`])
-    /// pairs with.
-    pub fn try_new(registry: &'r Registry, config: FleetConfig) -> Result<Self, SpecError> {
-        config.validate(registry)?;
-        Ok(Fleet { registry, config })
+    /// An empty [`FleetFold`] over this fleet's lineup and reference: the
+    /// target a shard merge replays cell streams into.
+    pub fn fold(&self) -> FleetFold {
+        FleetFold {
+            agg: Aggregation::new(self.names.clone(), self.reference),
+        }
     }
 
     /// Evaluates every job of `space` against every configured solver.
@@ -821,10 +732,9 @@ impl<'r> Fleet<'r> {
     /// included) is byte-identical to an untraced run; the
     /// trace-invariance proptest pins this.
     pub fn run<S: JobSpace + ?Sized>(&self, space: &S, obs: &Obs) -> FleetReport {
-        let reference = self.config.resolved_reference();
         self.run_range::<MetricAccumulator, S>(space, 0..space.len(), &mut |_| {}, obs, None)
             .expect("no cancel token given")
-            .finish(reference.as_deref())
+            .finish()
     }
 
     /// Runs one contiguous shard — jobs `range` — of the job space, over
@@ -861,11 +771,10 @@ impl<'r> Fleet<'r> {
         obs: &Obs,
         cancel: Option<&CancelToken>,
     ) -> Option<ShardRun> {
-        let reference = self.config.resolved_reference();
         let agg = self.run_range::<RecordedMetric, S>(space, range, &mut observe, obs, cancel)?;
         let groups = agg.group_states();
         Some(ShardRun {
-            report: agg.finish(reference.as_deref()),
+            report: agg.finish(),
             groups,
         })
     }
@@ -900,22 +809,10 @@ impl<'r> Fleet<'r> {
             "shard range {range:?} outside the job space (len {})",
             space.len()
         );
-        let solvers: Vec<&Solver> = self
-            .config
-            .solvers
-            .iter()
-            .map(|name| self.registry.get(name).expect("validated in Fleet::new"))
-            .collect();
-        let solver_names: Vec<&'static str> = solvers.iter().map(|s| s.name()).collect();
-        let reference = self.config.resolved_reference();
-        let reference_slot: Option<usize> = reference
-            .as_deref()
-            .and_then(|r| solver_names.iter().position(|s| *s == r));
-
-        let batch = self.config.batch_jobs;
-        let n_solvers = solvers.len();
+        let batch = self.batch_jobs;
+        let n_solvers = self.solvers.len();
         let total = range.end - range.start;
-        let mut agg: Aggregation<M> = Aggregation::new(reference.is_some());
+        let mut agg: Aggregation<M> = Aggregation::new(self.names.clone(), self.reference);
         let body = || {
             let run_span = obs.span("campaign", format!("jobs {}..{}", range.start, range.end));
             let run_start = Instant::now();
@@ -950,7 +847,7 @@ impl<'r> Fleet<'r> {
                 let cells: Vec<(CellResult, f64)> = tasks
                     .into_par_iter()
                     .map(|(j, s)| {
-                        self.run_cell(&batch_jobs[j], start + j, solvers[s], solve_parent)
+                        self.run_cell(&batch_jobs[j], start + j, self.solvers[s], solve_parent)
                     })
                     .collect();
                 // ...then regrouped into job-major rows and folded
@@ -960,14 +857,7 @@ impl<'r> Fleet<'r> {
                 let mut cells = cells.into_iter();
                 for job in &batch_jobs {
                     let row: Vec<(CellResult, f64)> = cells.by_ref().take(n_solvers).collect();
-                    agg.fold_row(
-                        &job.scenario,
-                        job.index,
-                        row,
-                        &solver_names,
-                        reference_slot,
-                        observe,
-                    );
+                    agg.fold_row(&job.scenario, job.index, row, observe);
                 }
                 drop(batch_span);
                 done += end - start;
@@ -995,7 +885,7 @@ impl<'r> Fleet<'r> {
             obs.flush();
             Some(agg)
         };
-        match self.config.threads {
+        match self.threads {
             None => body(),
             Some(n) => rayon::ThreadPoolBuilder::new()
                 .num_threads(n)
@@ -1016,10 +906,12 @@ impl<'r> Fleet<'r> {
         solver: &Solver,
         parent: &Span,
     ) -> (CellResult, f64) {
-        let mut options = self.config.options;
-        // Per-instance seed: reproducible, decorrelated, independent of
-        // which solvers run alongside.
-        options.seed = seeding::mix(self.config.seed, job_index as u64);
+        let options = SolveOptions {
+            cost_bound: self.cost_bound,
+            // Per-instance seed: reproducible, decorrelated, independent
+            // of which solvers run alongside.
+            seed: seeding::mix(self.seed, job_index as u64),
+        };
         if !solver.supports(&job.instance) {
             return (CellResult::Unsupported, 0.0);
         }
@@ -1184,27 +1076,40 @@ mod tests {
     use super::*;
     use crate::jobspace::ScenarioSpace;
     use crate::scenarios::{Demand, Scenario, Topology};
+    use crate::spec::{CampaignSpec, DEFAULT_BATCH_JOBS};
 
-    fn tiny_jobs() -> Vec<FleetJob> {
-        let scenarios = vec![
+    fn tiny_scenarios() -> Vec<Scenario> {
+        vec![
             Scenario::new(Topology::High, Demand::Uniform, 12),
             Scenario::new(Topology::Star, Demand::Skewed, 12),
-        ];
-        ScenarioSpace::new(&scenarios, 11, 3).materialize()
+        ]
+    }
+
+    fn tiny_jobs() -> Vec<FleetJob> {
+        ScenarioSpace::new(&tiny_scenarios(), 11, 3).materialize()
+    }
+
+    /// The campaign `tiny_jobs` is the job list of, with `solvers` and
+    /// streaming batches of `batch_jobs`.
+    fn tiny_campaign(solvers: &[&str], batch_jobs: usize) -> Campaign {
+        CampaignSpec::builder()
+            .scenarios(tiny_scenarios())
+            .instances_per_scenario(3)
+            .seed(11)
+            .solvers(solvers.iter().copied())
+            .batch_jobs(batch_jobs)
+            .validate(&Registry::with_all())
+            .expect("valid test campaign")
     }
 
     #[test]
     fn fleet_runs_and_aggregates() {
         let registry = Registry::with_all();
-        let config = FleetConfig {
-            solvers: vec![
-                "greedy".into(),
-                "dp_power".into(),
-                "heur_power_greedy".into(),
-            ],
-            ..Default::default()
-        };
-        let fleet = Fleet::new(&registry, config);
+        let campaign = tiny_campaign(
+            &["greedy", "dp_power", "heur_power_greedy"],
+            DEFAULT_BATCH_JOBS,
+        );
+        let fleet = Fleet::new(&registry, &campaign).unwrap();
         let jobs = tiny_jobs();
         let report = fleet.run(&jobs[..], &Obs::noop());
         assert_eq!(report.cell_count, jobs.len() * 3);
@@ -1232,31 +1137,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown solver")]
     fn unknown_solver_is_rejected_up_front() {
+        // A campaign read off the wire is unchecked: the fleet checks it.
         let registry = Registry::with_all();
-        let config = FleetConfig {
-            solvers: vec!["not_a_solver".into()],
-            ..Default::default()
+        let mut campaign = tiny_campaign(&["greedy"], DEFAULT_BATCH_JOBS);
+        campaign.solvers = vec!["not_a_solver".into()];
+        let Err(err) = Fleet::new(&registry, &campaign) else {
+            panic!("an unknown solver must not build a fleet");
         };
-        let _ = Fleet::new(&registry, config);
+        assert!(matches!(err, SpecError::UnknownSolver { .. }), "{err:?}");
+        assert!(err.to_string().contains("unknown solver"), "{err}");
     }
 
     #[test]
     fn digest_is_stable_across_runs_threads_and_batch_sizes() {
         let registry = Registry::with_all();
         let digest_with = |threads: Option<usize>, batch_jobs: usize| {
-            let config = FleetConfig {
-                solvers: vec![
-                    "greedy_power".into(),
-                    "dp_power".into(),
-                    "heur_annealing".into(),
-                ],
-                threads,
-                batch_jobs,
-                ..Default::default()
-            };
-            Fleet::new(&registry, config)
+            let mut campaign =
+                tiny_campaign(&["greedy_power", "dp_power", "heur_annealing"], batch_jobs);
+            campaign.threads = threads;
+            Fleet::new(&registry, &campaign)
+                .unwrap()
                 .run(&tiny_jobs()[..], &Obs::noop())
                 .digest()
         };
@@ -1289,14 +1190,11 @@ mod tests {
     #[test]
     fn observer_streams_cells_in_job_order() {
         let registry = Registry::with_all();
-        let config = FleetConfig {
-            solvers: vec!["greedy".into(), "greedy_power".into()],
-            batch_jobs: 2,
-            ..Default::default()
-        };
+        let campaign = tiny_campaign(&["greedy", "greedy_power"], 2);
         let jobs = tiny_jobs();
         let mut seen: Vec<(String, usize, &'static str)> = Vec::new();
-        let run = Fleet::new(&registry, config)
+        let run = Fleet::new(&registry, &campaign)
+            .unwrap()
             .run_shard(
                 &jobs[..],
                 0..jobs.len(),
@@ -1321,37 +1219,29 @@ mod tests {
     #[test]
     fn table_renders_header_and_rows() {
         let registry = Registry::with_all();
-        let config = FleetConfig {
-            solvers: vec!["greedy".into()],
-            ..Default::default()
-        };
-        let report = Fleet::new(&registry, config).run(&tiny_jobs()[..], &Obs::noop());
+        let campaign = tiny_campaign(&["greedy"], DEFAULT_BATCH_JOBS);
+        let report = Fleet::new(&registry, &campaign)
+            .unwrap()
+            .run(&tiny_jobs()[..], &Obs::noop());
         let table = report.table();
         assert!(table.contains("scenario"));
         assert!(table.lines().count() >= 2 + 2, "header + rule + 2 rows");
     }
 
     #[test]
-    #[should_panic(expected = "batch_jobs = 0")]
     fn zero_batch_jobs_is_a_configuration_error() {
         let registry = Registry::with_all();
-        let config = FleetConfig {
-            batch_jobs: 0,
-            ..Default::default()
+        let mut campaign = tiny_campaign(&["greedy"], DEFAULT_BATCH_JOBS);
+        campaign.batch_jobs = 0;
+        let Err(err) = Fleet::new(&registry, &campaign) else {
+            panic!("a zero-job streaming batch must not build a fleet");
         };
-        let _ = Fleet::new(&registry, config);
+        assert_eq!(err, SpecError::ZeroBatchJobs);
+        assert!(err.to_string().contains("batch_jobs = 0"), "{err}");
     }
 
-    fn shard_config() -> FleetConfig {
-        FleetConfig {
-            solvers: vec![
-                "greedy_power".into(),
-                "dp_power".into(),
-                "heur_annealing".into(),
-            ],
-            batch_jobs: 2,
-            ..Default::default()
-        }
+    fn shard_campaign() -> Campaign {
+        tiny_campaign(&["greedy_power", "dp_power", "heur_annealing"], 2)
     }
 
     /// Splits `0..n_jobs` into `shards` contiguous near-equal ranges.
@@ -1368,17 +1258,14 @@ mod tests {
     #[test]
     fn shard_runs_fold_back_into_the_sequential_report() {
         let registry = Registry::with_all();
-        let fleet = Fleet::new(&registry, shard_config());
+        let fleet = Fleet::new(&registry, &shard_campaign()).unwrap();
         let jobs = tiny_jobs();
         let whole = fleet.run(&jobs[..], &Obs::noop());
 
         for shards in [1, 2, 3, jobs.len() + 3] {
             // Worker side: run each contiguous range, recording cells and
             // mergeable group state.
-            let mut fold = FleetFold::new(
-                vec!["greedy_power", "dp_power", "heur_annealing"],
-                Some("dp_power".into()),
-            );
+            let mut fold = fleet.fold();
             let mut merged_groups: Option<Vec<GroupState>> = None;
             for range in split(jobs.len(), shards) {
                 let mut rows: Vec<RecordedRow> = Vec::new();
@@ -1444,7 +1331,7 @@ mod tests {
     #[test]
     fn cancellation_between_batches_discards_everything_or_nothing() {
         let registry = Registry::with_all();
-        let fleet = Fleet::new(&registry, shard_config());
+        let fleet = Fleet::new(&registry, &shard_campaign()).unwrap();
         let jobs = tiny_jobs();
 
         // A never-cancelled token changes nothing: byte-identical to a
@@ -1499,7 +1386,9 @@ mod tests {
     #[test]
     fn deterministic_table_drops_timing_columns() {
         let registry = Registry::with_all();
-        let report = Fleet::new(&registry, shard_config()).run(&tiny_jobs()[..], &Obs::noop());
+        let report = Fleet::new(&registry, &shard_campaign())
+            .unwrap()
+            .run(&tiny_jobs()[..], &Obs::noop());
         let table = report.table_deterministic();
         assert!(table.contains("gap_vs_ref"));
         assert!(!table.contains("ms/solve"));
@@ -1509,7 +1398,7 @@ mod tests {
     #[test]
     fn group_state_round_trips_and_detects_divergence() {
         let registry = Registry::with_all();
-        let fleet = Fleet::new(&registry, shard_config());
+        let fleet = Fleet::new(&registry, &shard_campaign()).unwrap();
         let jobs = tiny_jobs();
         let shard = fleet
             .run_shard(&jobs[..], 0..jobs.len(), |_| {}, &Obs::noop(), None)

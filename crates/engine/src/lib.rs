@@ -21,9 +21,10 @@
 //!    through [`Registry::sweep`], from the row's own frontier where the
 //!    algorithm amortizes (the DPs, the capacity-swept `GR`, the oracle)
 //!    and via a generic per-budget adapter everywhere else.
-//! 4. **[`fleet`]** — the rayon-powered [`Fleet`] runner: labelled
-//!    instances × solvers evaluated in parallel with deterministic
-//!    per-instance seeding ([`seeding`]) and folded, in job order, into
+//! 4. **[`fleet`]** — the rayon-powered [`Fleet`] runner, built from a
+//!    validated [`Campaign`] ([`Fleet::new`]): labelled instances ×
+//!    solvers evaluated in parallel with deterministic per-instance
+//!    seeding ([`seeding`]) and folded, in job order, into
 //!    per-`(scenario, solver)` **streaming accumulators** ([`stream`]) —
 //!    cost/power/gap distributions with P² percentile sketches,
 //!    optimality gaps and speedups against the exact DP — without ever
@@ -89,7 +90,7 @@
 //!     .build()
 //!     .validate(&registry)
 //!     .unwrap();
-//! let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
+//! let fleet = Fleet::new(&registry, &campaign).unwrap();
 //! let report = fleet.run(&campaign.space(), &Obs::noop());
 //! assert_eq!(report.summaries.len(), 2);
 //! println!("{}", report.table());
@@ -109,8 +110,8 @@ pub mod stream;
 pub mod sweep;
 
 pub use fleet::{
-    CancelToken, CellOutcome, CellResult, Fleet, FleetCell, FleetConfig, FleetFold, FleetJob,
-    FleetReport, FleetSummary, GroupState, ShardRun,
+    CancelToken, CellOutcome, CellResult, Fleet, FleetCell, FleetFold, FleetJob, FleetReport,
+    FleetSummary, GroupState, ShardRun,
 };
 pub use jobspace::{CountingSpace, JobSpace, ScenarioSpace};
 pub use output::{render, OutputFormat};
@@ -132,7 +133,7 @@ pub use replica_obs as obs;
 
 /// One-stop imports for engine users.
 pub mod prelude {
-    pub use crate::fleet::{Fleet, FleetConfig, FleetFold, FleetJob, FleetReport};
+    pub use crate::fleet::{Fleet, FleetFold, FleetJob, FleetReport};
     pub use crate::jobspace::{CountingSpace, JobSpace, ScenarioSpace};
     pub use crate::output::{render, OutputFormat};
     pub use crate::registry::Registry;

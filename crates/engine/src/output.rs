@@ -20,6 +20,7 @@ use crate::obs::{Analysis, AttemptEvent, SchedOp, ShardTimeline};
 use crate::spec::{did_you_mean, SpecError};
 use crate::stream::Stats;
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -108,6 +109,18 @@ pub fn render(report: &FleetReport, format: OutputFormat) -> String {
     }
 }
 
+/// One CSV field as RFC 4180 writes it: wrapped in `"` with every inner
+/// `"` doubled when it holds a `,`, a `"` or a line break, as is
+/// otherwise. Scenario names come from spec files and may hold any of
+/// them.
+pub fn csv_field(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(field)
+    }
+}
+
 /// CSV rendering: every deterministic aggregate — including the P²
 /// p50/p90 percentile columns for power, cost and gap — then the
 /// non-deterministic timing columns last.
@@ -125,7 +138,7 @@ pub fn csv(report: &FleetReport) -> String {
         let _ = writeln!(
             out,
             "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.4},{},{},{},{:.4},{:.4},{}",
-            s.scenario,
+            csv_field(&s.scenario),
             s.solver,
             s.solved,
             s.failed,
@@ -436,19 +449,12 @@ fn analysis_table(analysis: &Analysis, timing: bool) -> String {
 fn analysis_csv(analysis: &Analysis) -> String {
     let mut out = String::from("section,key,field,value\n");
     let mut row = |section: &str, key: &str, field: &str, value: String| {
-        let quote = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
         out.push_str(&format!(
             "{},{},{},{}\n",
-            quote(section),
-            quote(key),
-            quote(field),
-            quote(&value)
+            csv_field(section),
+            csv_field(key),
+            csv_field(field),
+            csv_field(&value)
         ));
     };
     row(
@@ -719,24 +725,27 @@ fn analysis_json(analysis: &Analysis, timing: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{Fleet, FleetConfig};
-    use crate::jobspace::ScenarioSpace;
+    use crate::fleet::Fleet;
     use crate::obs::Obs;
     use crate::registry::Registry;
     use crate::scenarios::{Demand, Scenario, Topology};
+    use crate::spec::CampaignSpec;
 
     fn report() -> FleetReport {
         let registry = Registry::with_all();
-        let scenarios = vec![
-            Scenario::new(Topology::High, Demand::Uniform, 12),
-            Scenario::new(Topology::Star, Demand::Skewed, 12),
-        ];
-        let config = FleetConfig {
-            solvers: vec!["dp_power".into(), "greedy_power".into()],
-            ..Default::default()
-        };
-        let jobs = ScenarioSpace::new(&scenarios, 2, 2).materialize();
-        Fleet::new(&registry, config).run(&jobs[..], &Obs::noop())
+        let campaign = CampaignSpec::builder()
+            .scenarios([
+                Scenario::new(Topology::High, Demand::Uniform, 12),
+                Scenario::new(Topology::Star, Demand::Skewed, 12),
+            ])
+            .instances_per_scenario(2)
+            .seed(2)
+            .solvers(["dp_power", "greedy_power"])
+            .validate(&registry)
+            .unwrap();
+        Fleet::new(&registry, &campaign)
+            .unwrap()
+            .run(&campaign.space(), &Obs::noop())
     }
 
     #[test]
@@ -789,6 +798,38 @@ mod tests {
         let csv = render(&report, OutputFormat::Csv);
         assert_eq!(csv.lines().count(), 1 + report.summaries.len());
         assert!(csv.starts_with("scenario,solver"));
+    }
+
+    #[test]
+    fn csv_quotes_a_scenario_name_with_commas_and_quotes() {
+        let registry = Registry::with_all();
+        let mut scenario = Scenario::new(Topology::Star, Demand::Drifting, 12);
+        scenario.name = r#"star, drifting "hot""#.into();
+        let campaign = CampaignSpec::builder()
+            .scenarios([scenario])
+            .instances_per_scenario(1)
+            .solvers(["dp_power", "greedy_power"])
+            .validate(&registry)
+            .unwrap();
+        let report = Fleet::new(&registry, &campaign)
+            .unwrap()
+            .run(&campaign.space(), &Obs::noop());
+        let csv = render(&report, OutputFormat::Csv);
+        assert!(csv.contains(r#""star, drifting ""hot""","#), "{csv}");
+        // Every record splits into the header's 20 fields (a doubled
+        // quote toggles twice, so only field separators are counted).
+        assert_eq!(csv.lines().count(), 1 + 2);
+        for line in csv.lines() {
+            let (mut fields, mut quoted) = (1, false);
+            for c in line.chars() {
+                match c {
+                    '"' => quoted = !quoted,
+                    ',' if !quoted => fields += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!(fields, 20, "{line}");
+        }
     }
 
     fn forensic_analysis() -> Analysis {

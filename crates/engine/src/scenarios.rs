@@ -42,10 +42,18 @@
 //! | `WalkDrift` | uniform start, then [`WALK_DRIFT_ROUNDS`] rounds of ±1 random walk | cumulative [`replica_sim::Evolution::RandomWalk`] drift over rounds |
 //! | `QuietChurn` | uniform re-draw with clients independently going quiet (volume 0) | one [`replica_sim::Evolution::Churn`] step — bursty on/off churn |
 //! | `SubtreeMix` | each root subtree draws its own pattern (uniform / skewed / saturated) | heterogeneous per-subtree demand mixes |
+//!
+//! ## Fixed single instances
+//!
+//! [`paper_tree`], [`power_instance`], [`fat_power_instance`] and
+//! [`fat_linear_power_instance`] draw one instance from a seed alone, for
+//! workloads that solve one large tree rather than a family: the
+//! `placed` daemon's `--alpha` recipes, the benchmarks and the scale
+//! tests.
 
 use crate::seeding;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use replica_model::{CostModel, Instance, ModeSet, PowerModel, PreExisting};
 use replica_sim::Evolution;
 use replica_tree::{generate, GeneratorConfig, NodeId, Tree};
@@ -369,6 +377,71 @@ pub fn extended_families(nodes: usize) -> Vec<Scenario> {
     let mut out = standard_families(nodes);
     out.extend(churn_families(nodes));
     out
+}
+
+/// Deterministic paper-shaped tree.
+pub fn paper_tree(seed: u64, nodes: usize) -> Tree {
+    let mut rng = StdRng::seed_from_u64(seed);
+    generate::random_tree(&GeneratorConfig::paper_fat(nodes), &mut rng)
+}
+
+/// Deterministic Experiment-3-style instance (modes {5, 10}, α = 3,
+/// `P_static = W₁³/10`, uniform Fig-8 costs).
+pub fn power_instance(seed: u64, nodes: usize, pre_count: usize) -> Instance {
+    mode_pair_instance(
+        seed,
+        &GeneratorConfig::paper_power(nodes),
+        pre_count,
+        PowerModel::paper_experiment3,
+    )
+}
+
+/// Deterministic Experiment-3-style instance on the *fat* paper tree —
+/// the scaling workload of the solver benchmarks and the release-mode
+/// scale guard in `replica-core`. `pre_count` servers are pre-existing
+/// at mode 1; pass 0 for the greenfield regime.
+pub fn fat_power_instance(seed: u64, nodes: usize, pre_count: usize) -> Instance {
+    mode_pair_instance(
+        seed,
+        &GeneratorConfig::paper_fat(nodes),
+        pre_count,
+        PowerModel::paper_experiment3,
+    )
+}
+
+/// The [`fat_power_instance`] workload under an **energy-proportional**
+/// power model (α = 1, `P_static = 10`). Cost and power then rise
+/// together with the server count, per-flow Pareto frontiers stay
+/// compact, and the exact pruned DP is near-linear — the regime where
+/// 10⁵-node exact solves are routine (see `docs/ARCHITECTURE.md`,
+/// "Flat tree layout & solve arenas").
+pub fn fat_linear_power_instance(seed: u64, nodes: usize, pre_count: usize) -> Instance {
+    mode_pair_instance(seed, &GeneratorConfig::paper_fat(nodes), pre_count, |_| {
+        PowerModel::new(10.0, 1.0)
+    })
+}
+
+/// The body the three recipes above share: a tree of `shape` drawn from
+/// `seed`, then `pre_count` servers pre-existing at mode 1 of the modes
+/// {5, 10}, uniform Fig-8 costs and the power model `power` builds for
+/// those modes.
+fn mode_pair_instance(
+    seed: u64,
+    shape: &GeneratorConfig,
+    pre_count: usize,
+    power: impl FnOnce(&ModeSet) -> PowerModel,
+) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tree = generate::random_tree(shape, &mut rng);
+    let pre = generate::random_pre_existing(&tree, pre_count, &mut rng);
+    let modes = ModeSet::new(vec![5, 10]).expect("modes {5, 10} are valid");
+    Instance::builder(tree)
+        .power(power(&modes))
+        .modes(modes)
+        .pre_existing(PreExisting::at_mode(pre, 1))
+        .cost(CostModel::uniform(2, 0.1, 0.01, 0.001))
+        .build()
+        .expect("pre-existing internal nodes at mode 1 of two modes are valid")
 }
 
 #[cfg(test)]

@@ -37,10 +37,18 @@ pub fn rng(seed: u64, stream: u64) -> StdRng {
 /// in a fleet would share one RNG stream and cross-scenario aggregates
 /// would be built on correlated draws.
 pub fn label_stream(label: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in label.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fnv1a(FNV_OFFSET, label.as_bytes())
+}
+
+/// The FNV-1a offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends the FNV-1a hash `hash` by `bytes` — the engine's one stable
+/// 64-bit hash, behind scenario seed streams, campaign fingerprints and
+/// fleet cell checksums.
+pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }

@@ -2,11 +2,10 @@
 //! description of any run.
 //!
 //! The paper's contribution is an evaluation *matrix* — placements ×
-//! update strategies × tree/demand families — and before this module
-//! every layer described such a matrix its own way: `fleetd` had a
-//! `Campaign`, the engine had [`FleetConfig`], and every experiment
-//! binary re-wired scenarios, solvers and seeds by hand with stringly
-//! errors. [`CampaignSpec`] is the single description all of them load:
+//! update strategies × tree/demand families. [`CampaignSpec`] is the
+//! single description of such a matrix that every layer loads, and the
+//! [`Campaign`] it validates into is what a [`Fleet`](crate::Fleet) is
+//! built from:
 //!
 //! * **Serializable** — a spec is plain JSON ([`CampaignSpec::load`] /
 //!   [`CampaignSpec::save`]), with every knob optional except the
@@ -43,7 +42,7 @@
 //!     .build()
 //!     .validate(&registry)
 //!     .unwrap();
-//! let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
+//! let fleet = Fleet::new(&registry, &campaign).unwrap();
 //! let report = fleet.run(&campaign.space(), &Obs::noop());
 //! assert_eq!(report.cell_count, campaign.job_count() * 2);
 //!
@@ -57,12 +56,12 @@
 //! assert!(typo.to_string().contains("did you mean `dp_power`?"));
 //! ```
 
-use crate::fleet::{FleetConfig, FleetJob};
+use crate::fleet::FleetJob;
 use crate::jobspace::ScenarioSpace;
 use crate::output::OutputFormat;
 use crate::registry::Registry;
 use crate::scenarios::Scenario;
-use crate::solver::SolveOptions;
+use crate::solver::Solver;
 use replica_model::ModeSet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -112,9 +111,10 @@ pub const CAMPAIGN_FLAG_NAMES: &[&str] = &[
 // ---------------------------------------------------------------------------
 
 /// Why a campaign spec was rejected — the typed error of the whole
-/// spec/config path ([`CampaignSpec`], [`Campaign`], [`FleetConfig`],
-/// the `fleetd` CLI). Every variant's [`fmt::Display`] message says what
-/// to change, not just what broke.
+/// spec/config path ([`CampaignSpec`], [`Campaign`],
+/// [`Fleet::new`](crate::Fleet::new), the `fleetd` CLI). Every
+/// variant's [`fmt::Display`] message says what to change, not just
+/// what broke.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpecError {
     /// Neither a named set nor an inline scenario list was given.
@@ -723,9 +723,9 @@ impl CampaignSpecBuilder {
 /// the lazy, indexed [`ScenarioSpace`] over the description, and a
 /// worker queries it only for its own shard's indices.
 ///
-/// A `Campaign` deserialized from the wire is *unchecked*; re-run
-/// [`Campaign::validate`] before executing it (the `fleetd` worker and
-/// merge do).
+/// A `Campaign` deserialized from the wire is *unchecked*;
+/// [`Fleet::new`](crate::Fleet::new) re-runs [`Campaign::validate`]
+/// before anything executes it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Campaign {
     /// The instance families evaluated (job order: scenarios in this
@@ -755,12 +755,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Default solver lineup for CLI-built campaigns (the spec module's
-    /// [`default_solvers`], under its historical name).
-    pub fn default_solvers() -> Vec<String> {
-        default_solvers()
-    }
-
     /// Builds a validated campaign over a named scenario set
     /// (`"standard"`, `"churn"` or `"extended"`) with the default solver
     /// lineup — the historical constructor, now routed through the spec
@@ -814,25 +808,19 @@ impl Campaign {
         self.space().materialize()
     }
 
-    /// The fleet configuration every worker runs with.
-    pub fn fleet_config(&self) -> FleetConfig {
-        FleetConfig {
-            solvers: self.solvers.clone(),
-            options: SolveOptions {
-                cost_bound: self.cost_bound.unwrap_or(f64::INFINITY),
-                ..SolveOptions::default()
-            },
-            seed: self.seed,
-            reference: self.reference.clone(),
-            threads: self.threads,
-            batch_jobs: self.batch_jobs,
-        }
-    }
-
     /// Re-validates the (possibly wire-deserialized) campaign against
     /// `registry` — the same checks [`CampaignSpec::validate`] performs
     /// on the resolved form.
     pub fn validate(&self, registry: &Registry) -> Result<(), SpecError> {
+        self.solver_rows(registry).map(drop)
+    }
+
+    /// [`Campaign::validate`], returning the lineup's registry rows in
+    /// cell-row order: what [`Fleet::new`](crate::Fleet::new) runs.
+    pub(crate) fn solver_rows<'r>(
+        &self,
+        registry: &'r Registry,
+    ) -> Result<Vec<&'r Solver>, SpecError> {
         if self.scenarios.is_empty() {
             return Err(SpecError::EmptyScenarioList);
         }
@@ -842,7 +830,29 @@ impl Campaign {
         if self.instances_per_scenario == 0 {
             return Err(SpecError::ZeroInstances);
         }
-        validate_lineup(&self.solvers, self.reference.as_deref(), registry)?;
+        if self.solvers.is_empty() {
+            return Err(SpecError::NoSolvers);
+        }
+        let mut rows = Vec::with_capacity(self.solvers.len());
+        for (i, name) in self.solvers.iter().enumerate() {
+            let Some(row) = registry.get(name) else {
+                return Err(SpecError::UnknownSolver {
+                    name: name.clone(),
+                    suggestion: did_you_mean(name, registry.names()).map(str::to_string),
+                });
+            };
+            if self.solvers[..i].contains(name) {
+                return Err(SpecError::DuplicateSolver { name: name.clone() });
+            }
+            rows.push(row);
+        }
+        if let Some(reference) = &self.reference {
+            if !self.solvers.contains(reference) {
+                return Err(SpecError::ReferenceNotInLineup {
+                    reference: reference.clone(),
+                });
+            }
+        }
         if self.batch_jobs == 0 {
             return Err(SpecError::ZeroBatchJobs);
         }
@@ -867,7 +877,7 @@ impl Campaign {
                 }
             }
         }
-        Ok(())
+        Ok(rows)
     }
 
     /// FNV-1a fingerprint of the campaign's canonical JSON encoding.
@@ -875,44 +885,8 @@ impl Campaign {
     /// reports produced from a different campaign.
     pub fn fingerprint(&self) -> u64 {
         let json = serde_json::to_string(self).expect("campaign serialization cannot fail");
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in json.bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        crate::seeding::fnv1a(crate::seeding::FNV_OFFSET, json.as_bytes())
     }
-}
-
-/// Checks a solver lineup and optional reference against the registry —
-/// shared by [`Campaign::validate`] and [`FleetConfig::validate`].
-pub(crate) fn validate_lineup(
-    solvers: &[String],
-    reference: Option<&str>,
-    registry: &Registry,
-) -> Result<(), SpecError> {
-    if solvers.is_empty() {
-        return Err(SpecError::NoSolvers);
-    }
-    for (i, name) in solvers.iter().enumerate() {
-        if registry.get(name).is_none() {
-            return Err(SpecError::UnknownSolver {
-                name: name.clone(),
-                suggestion: did_you_mean(name, registry.names()).map(str::to_string),
-            });
-        }
-        if solvers[..i].contains(name) {
-            return Err(SpecError::DuplicateSolver { name: name.clone() });
-        }
-    }
-    if let Some(reference) = reference {
-        if !solvers.iter().any(|s| s == reference) {
-            return Err(SpecError::ReferenceNotInLineup {
-                reference: reference.to_string(),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Structural checks on one inline scenario: size and model parameters

@@ -6,28 +6,24 @@
 //! derives per instance).
 
 use replica_engine::obs::Obs;
-use replica_engine::{
-    extended_families, Fleet, FleetConfig, Registry, ScenarioSpace, SolveOptions,
-};
+use replica_engine::{extended_families, CampaignSpec, Fleet, Registry};
 
 fn digest(registry: &Registry, threads: Option<usize>, batch_jobs: usize, seed: u64) -> String {
     let scenarios = extended_families(16);
     assert_eq!(scenarios.len(), 35, "5 topologies × 7 demand patterns");
-    let jobs = ScenarioSpace::new(&scenarios, seed, 2).materialize();
-    let config = FleetConfig {
-        solvers: vec![
-            "greedy".into(),
-            "greedy_power".into(),
-            "dp_power".into(),
-            "heur_annealing".into(),
-        ],
-        options: SolveOptions::default(),
-        seed,
-        reference: Some("dp_power".into()),
-        threads,
-        batch_jobs,
-    };
-    Fleet::new(registry, config)
+    let mut campaign = CampaignSpec::builder()
+        .scenarios(scenarios)
+        .instances_per_scenario(2)
+        .solvers(["greedy", "greedy_power", "dp_power", "heur_annealing"])
+        .seed(seed)
+        .reference("dp_power")
+        .batch_jobs(batch_jobs)
+        .validate(registry)
+        .unwrap();
+    campaign.threads = threads;
+    let jobs = campaign.jobs();
+    Fleet::new(registry, &campaign)
+        .unwrap()
         .run(&jobs[..], &Obs::noop())
         .digest()
 }
@@ -70,17 +66,18 @@ fn seeded_fleet_sweep_is_byte_identical_across_runs_and_thread_counts() {
 fn exact_dp_dominates_every_other_solver_across_the_sweep() {
     let registry = Registry::with_all();
     let scenarios = extended_families(16);
-    let jobs = ScenarioSpace::new(&scenarios, 7, 2).materialize();
-    let config = FleetConfig {
-        solvers: vec![
-            "greedy_power".into(),
-            "heur_power_greedy".into(),
-            "dp_power".into(),
-        ],
-        reference: Some("dp_power".into()),
-        ..Default::default()
-    };
-    let report = Fleet::new(&registry, config).run(&jobs[..], &Obs::noop());
+    let campaign = CampaignSpec::builder()
+        .scenarios(scenarios.clone())
+        .instances_per_scenario(2)
+        .solvers(["greedy_power", "heur_power_greedy", "dp_power"])
+        .seed(7)
+        .reference("dp_power")
+        .validate(&registry)
+        .unwrap();
+    let jobs = campaign.jobs();
+    let report = Fleet::new(&registry, &campaign)
+        .unwrap()
+        .run(&jobs[..], &Obs::noop());
     assert_eq!(report.summaries.len(), scenarios.len() * 3);
     assert_eq!(report.cell_count, jobs.len() * 3);
     for summary in &report.summaries {

@@ -15,7 +15,7 @@
 //! keeps equal); both paths must keep matching these bytes.
 
 use replica_engine::obs::Obs;
-use replica_engine::{Demand, Fleet, FleetConfig, Registry, Scenario, ScenarioSpace, Topology};
+use replica_engine::{CampaignSpec, Demand, Fleet, Registry, Scenario, Topology};
 
 /// The deterministic table with per-line trailing alignment spaces
 /// stripped (the golden literals below would be unreadable — and
@@ -34,13 +34,15 @@ fn trimmed_table(report: &replica_engine::FleetReport) -> String {
 /// Runs `scenarios × 3` instances with `solvers` at `seed`, lazily.
 fn report(scenarios: &[Scenario], solvers: &[&str], seed: u64) -> replica_engine::FleetReport {
     let registry = Registry::with_all();
-    let config = FleetConfig {
-        solvers: solvers.iter().map(|s| s.to_string()).collect(),
-        seed,
-        ..Default::default()
-    };
-    let fleet = Fleet::new(&registry, config);
-    fleet.run(&ScenarioSpace::new(scenarios, seed, 3), &Obs::noop())
+    let campaign = CampaignSpec::builder()
+        .scenarios(scenarios.to_vec())
+        .instances_per_scenario(3)
+        .solvers(solvers.iter().copied())
+        .seed(seed)
+        .validate(&registry)
+        .unwrap();
+    let fleet = Fleet::new(&registry, &campaign).unwrap();
+    fleet.run(&campaign.space(), &Obs::noop())
 }
 
 #[test]

@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use replica_engine::obs::Obs;
 use replica_engine::{
-    extended_families, CellResult, CountingSpace, Demand, Fleet, FleetCell, FleetConfig, FleetFold,
-    JobSpace, Registry, Scenario, ScenarioSpace, Topology,
+    extended_families, CampaignSpec, CellResult, CountingSpace, Demand, Fleet, FleetCell, JobSpace,
+    Registry, Scenario, ScenarioSpace, Topology,
 };
 
 /// Draws `n` scenarios (stride-sampled so topologies and demands mix)
@@ -69,13 +69,15 @@ fn split_fleet(registry: &Registry, seed: u64) -> (Vec<Scenario>, Fleet<'_>) {
         Scenario::new(Topology::High, Demand::Uniform, 8),
         Scenario::new(Topology::Star, Demand::QuietChurn, 8),
     ];
-    let config = FleetConfig {
-        solvers: vec!["greedy_power".into(), "dp_power".into()],
-        seed,
-        batch_jobs: 2,
-        ..Default::default()
-    };
-    (scenarios, Fleet::new(registry, config))
+    let campaign = CampaignSpec::builder()
+        .scenarios(scenarios.clone())
+        .instances_per_scenario(3)
+        .solvers(["greedy_power", "dp_power"])
+        .seed(seed)
+        .batch_jobs(2)
+        .validate(registry)
+        .unwrap();
+    (scenarios, Fleet::new(registry, &campaign).unwrap())
 }
 
 proptest! {
@@ -103,10 +105,7 @@ proptest! {
         cuts.sort_unstable();
         let bounds = [0, cuts[0], cuts[1], n];
 
-        let mut fold = FleetFold::new(
-            vec!["greedy_power", "dp_power"],
-            Some("dp_power".into()),
-        );
+        let mut fold = fleet.fold();
         for pair in bounds.windows(2) {
             // One recorded row per job of the range, replayed in order.
             let mut rows: Vec<RecordedRow> = Vec::new();

@@ -40,7 +40,7 @@ fn campaign(seed: u64, solver_pick: usize, batch_jobs: usize) -> Campaign {
 
 fn run_with(campaign: &Campaign, obs: &Obs) -> FleetReport {
     let registry = Registry::with_all();
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
+    let fleet = Fleet::new(&registry, campaign).unwrap();
     fleet.run(&campaign.space(), obs)
 }
 

@@ -140,7 +140,7 @@ proptest! {
         let round_tripped = back.validate(&registry).unwrap();
 
         let run = |campaign: &replica_engine::Campaign| {
-            let fleet = Fleet::try_new(&registry, campaign.fleet_config()).unwrap();
+            let fleet = Fleet::new(&registry, campaign).unwrap();
             fleet.run(&campaign.space(), &Obs::noop())
         };
         let a = run(&original);

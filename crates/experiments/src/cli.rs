@@ -1,10 +1,11 @@
 //! Minimal flag parsing for the `experiments` binary.
 //!
 //! Deliberately tiny (the workspace adds no CLI dependency for one binary):
-//! `--name` flags with an optional following value, order-insensitive.
-//! Each command accepts only the flags [`USAGE`] lists for it
-//! ([`accepted_flags`]): a misspelled flag is an error, not a silently
-//! ignored entry that runs the wrong experiment.
+//! `--name` flags, order-insensitive. The [`SWITCHES`] take no value and
+//! every other flag takes exactly one. Each command accepts only the
+//! flags [`USAGE`] lists for it ([`accepted_flags`]): a misspelled flag,
+//! a flag without its value and a stray token are errors, not silently
+//! ignored entries that run the wrong experiment.
 
 use replica_engine::spec::CAMPAIGN_FLAG_NAMES;
 
@@ -54,6 +55,9 @@ fleet flags (a campaign spec, validated before any job runs):
                      throughput) to stderr; uses --trace FILE when given,
                      a temporary trace otherwise";
 
+/// The flags that take no value; every other flag takes exactly one.
+pub const SWITCHES: &[&str] = &["high", "quick", "paper", "analyze"];
+
 /// The flags `command` accepts, as [`USAGE`] lists them; `None` for a
 /// command that does not exist.
 pub fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
@@ -84,34 +88,38 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses raw arguments (everything after the subcommand); a flag
-    /// outside `accepted` is an error.
+    /// Parses raw arguments (everything after the subcommand). A flag
+    /// outside `accepted`, a value flag not followed by its value and a
+    /// token that is neither a flag nor a flag's value are errors.
     pub fn parse(raw: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let arg = &raw[i];
-            if let Some(name) = arg.strip_prefix("--") {
-                if !accepted.contains(&name) {
-                    return Err(format!("unknown flag --{name}"));
-                }
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
-                }
-                flags.push((name.to_string(), value));
+        let mut tokens = raw.iter();
+        while let Some(arg) = tokens.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            if !accepted.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
             }
-            i += 1;
+            let value = if SWITCHES.contains(&name) {
+                None
+            } else {
+                match tokens.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(format!("--{name} needs a value")),
+                }
+            };
+            flags.push((name.to_string(), value));
         }
         Ok(Args { flags })
     }
 
-    /// True if the flag appeared (with or without a value).
+    /// True if the flag appeared.
     pub fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
-    /// The flag's value, if the flag appeared with one.
+    /// The flag's value, if the flag appeared (switches have none).
     pub fn get(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
@@ -170,6 +178,25 @@ mod tests {
     }
 
     #[test]
+    fn a_value_flag_without_its_value_is_rejected() {
+        let exp1 = accepted_flags("exp1").unwrap();
+        for args in [
+            &["--trees", "--quick"][..],
+            &["--seed"],
+            &["--out", "--high"],
+        ] {
+            let err = Args::parse(&raw(args), &exp1).unwrap_err();
+            assert!(err.contains("needs a value"), "{args:?}: {err}");
+        }
+        let fleet = accepted_flags("fleet").unwrap();
+        let seedless = ["--count", "1", "--seed", "--out", "dir"];
+        assert_eq!(
+            Args::parse(&raw(&seedless), &fleet).unwrap_err(),
+            "--seed needs a value"
+        );
+    }
+
+    #[test]
     fn numeric_parsing_reports_errors() {
         let a = parse(&["--trees", "many"]);
         let err = a.get_usize("trees").unwrap_err();
@@ -178,10 +205,16 @@ mod tests {
     }
 
     #[test]
-    fn non_flag_tokens_are_ignored() {
-        let a = parse(&["stray", "--seed", "7", "stray2"]);
-        assert_eq!(a.get("seed"), Some("7"));
-        assert_eq!(a.flags.len(), 1);
+    fn non_flag_tokens_are_rejected() {
+        let exp1 = accepted_flags("exp1").unwrap();
+        for args in [
+            &["stray", "--seed", "7", "stray2"][..],
+            &["--seed", "7", "stray2"],
+            &["--quick", "5"],
+        ] {
+            let err = Args::parse(&raw(args), &exp1).unwrap_err();
+            assert!(err.starts_with("unexpected argument"), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn spec_from_args(args: &Args) -> Result<CampaignSpec, SpecError> {
 /// handle here; [`Obs::noop`] for none). Out-of-band: the returned
 /// report is byte-identical to an untraced run.
 pub fn run(campaign: &Campaign, registry: &Registry, obs: &Obs) -> Result<FleetReport, SpecError> {
-    let fleet = Fleet::try_new(registry, campaign.fleet_config())?;
+    let fleet = Fleet::new(registry, campaign)?;
     Ok(fleet.run(&campaign.space(), obs))
 }
 

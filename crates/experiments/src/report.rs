@@ -1,5 +1,6 @@
 //! Tabular output: ASCII for the terminal, CSV for plotting.
 
+use replica_engine::output::csv_field;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -60,23 +61,14 @@ impl Table {
         out
     }
 
-    /// Renders RFC-4180-ish CSV with a leading `#` title comment.
+    /// Renders RFC 4180 CSV with a leading `#` title comment.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         let _ = writeln!(out, "{}", self.columns.join(","));
         for row in &self.rows {
-            let escaped: Vec<String> = row
-                .iter()
-                .map(|c| {
-                    if c.contains(',') || c.contains('"') || c.contains('\n') {
-                        format!("\"{}\"", c.replace('"', "\"\""))
-                    } else {
-                        c.clone()
-                    }
-                })
-                .collect();
-            let _ = writeln!(out, "{}", escaped.join(","));
+            let fields: Vec<_> = row.iter().map(|c| csv_field(c)).collect();
+            let _ = writeln!(out, "{}", fields.join(","));
         }
         out
     }

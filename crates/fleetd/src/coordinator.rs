@@ -749,8 +749,7 @@ fn parse_trace_name(name: &str) -> Option<(usize, usize)> {
 /// campaign's lazy job space) — the baseline of the determinism proof.
 pub fn run_single_process(plan: &ShardPlan) -> Result<FleetReport, FleetdError> {
     let registry = Registry::with_all();
-    plan.campaign.validate(&registry)?;
-    let fleet = Fleet::try_new(&registry, plan.campaign.fleet_config())?;
+    let fleet = Fleet::new(&registry, &plan.campaign)?;
     Ok(fleet.run(&plan.campaign.space(), &Obs::noop()))
 }
 

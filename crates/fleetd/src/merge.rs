@@ -2,10 +2,11 @@
 //!
 //! The merge is a **replay**, not an approximation: because shards are
 //! contiguous job ranges and every worker recorded its cell stream in
-//! job order, folding the streams shard by shard through the engine's
-//! [`FleetFold`] performs the *identical* sequential fold a
-//! single-process `Fleet::run` would — same aggregates, same cell count,
-//! same FNV cell checksum, bit for bit.
+//! job order, folding the streams shard by shard through the
+//! [`FleetFold`](replica_engine::FleetFold) that the campaign's
+//! [`Fleet::fold`] hands out performs the *identical* sequential fold a
+//! single-process `Fleet::run` would — same lineup, same reference, same
+//! aggregates, same cell count, same FNV cell checksum, bit for bit.
 //!
 //! Independently of that canonical route, the workers' mergeable
 //! [`GroupState`]s are folded with `GroupState::merge_in_order` and
@@ -17,7 +18,7 @@
 use crate::error::FleetdError;
 use crate::plan::ShardPlan;
 use crate::shard::ShardReport;
-use replica_engine::{FleetFold, FleetReport, GroupState, Registry, SpecError};
+use replica_engine::{Fleet, FleetReport, GroupState, Registry};
 
 /// Merges shard reports (any order; they are sorted by shard index)
 /// into the campaign's full [`FleetReport`].
@@ -48,26 +49,9 @@ fn merge_borrowed(
         )));
     }
 
-    let registry = Registry::with_all();
-    plan.campaign.validate(&registry)?;
-    // Solver names as the registry's static keys, in campaign order —
-    // cell rows are row-major in exactly this order.
-    let solvers: Vec<&'static str> = plan
-        .campaign
-        .solvers
-        .iter()
-        .map(|name| {
-            registry.get(name).map(|s| s.name()).ok_or_else(|| {
-                FleetdError::Spec(SpecError::UnknownSolver {
-                    name: name.clone(),
-                    suggestion: None,
-                })
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let reference = plan.campaign.fleet_config().resolved_reference();
-
-    let mut fold = FleetFold::new(solvers.clone(), reference);
+    let mut fold = Fleet::new(&Registry::with_all(), &plan.campaign)?.fold();
+    // Cell rows are row-major in campaign solver order.
+    let solvers = &plan.campaign.solvers;
     let mut merged_groups: Vec<GroupState> = Vec::new();
 
     for (manifest, report) in plan.shards.iter().zip(&ordered) {
@@ -100,7 +84,7 @@ fn merge_borrowed(
         // campaign-wide fold, whose shard-local checksum must reproduce
         // the worker's (integrity).
         fold.begin_shard();
-        for (scenario, instance, row) in rows_of(report, &solvers)? {
+        for (scenario, instance, row) in rows_of(report, solvers)? {
             fold.fold_row(scenario, instance, row);
         }
         let replayed = fold.shard_checksum().expect("a shard was begun");
@@ -192,7 +176,7 @@ pub fn merge_reports_fenced(
 #[allow(clippy::type_complexity)]
 fn rows_of<'a>(
     report: &'a ShardReport,
-    solvers: &[&'static str],
+    solvers: &[String],
 ) -> Result<Vec<(&'a str, usize, Vec<(replica_engine::CellResult, f64)>)>, FleetdError> {
     let n = solvers.len();
     let mut rows = Vec::with_capacity(report.cells.len() / n);
@@ -236,7 +220,7 @@ mod tests {
 
     fn single_process_digest(plan: &ShardPlan) -> String {
         let registry = Registry::with_all();
-        let fleet = Fleet::new(&registry, plan.campaign.fleet_config());
+        let fleet = Fleet::new(&registry, &plan.campaign).unwrap();
         // Deliberately the *eager* path: the merged lazy-worker reports
         // must match a run over the materialized job list bit for bit.
         fleet.run(&plan.campaign.jobs()[..], &Obs::noop()).digest()

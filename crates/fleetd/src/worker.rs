@@ -69,9 +69,7 @@ pub fn run_shard_attempt<S: JobSpace + ?Sized>(
         )));
     }
     let registry = Registry::with_all();
-    plan.campaign.validate(&registry)?;
-
-    let fleet = Fleet::try_new(&registry, plan.campaign.fleet_config())?;
+    let fleet = Fleet::new(&registry, &plan.campaign)?;
     let mut cells = Vec::with_capacity(manifest.len() * plan.campaign.solvers.len());
     let Some(run) = fleet.run_shard(
         space,

@@ -66,7 +66,7 @@ fn workers_construct_exactly_their_shard_and_merge_byte_identically() {
     // byte-identical to a fresh single-process `Fleet::run` over the
     // eagerly materialized job list.
     let registry = Registry::with_all();
-    let fleet = Fleet::new(&registry, plan.campaign.fleet_config());
+    let fleet = Fleet::new(&registry, &plan.campaign).unwrap();
     let single = fleet.run(&plan.campaign.jobs()[..], &Obs::noop());
     assert_eq!(merged.digest(), single.digest());
     assert_eq!(merged.cell_count, single.cell_count);

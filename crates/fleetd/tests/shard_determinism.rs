@@ -37,7 +37,7 @@ fn campaign(seed: u64) -> Campaign {
 
 fn single_process(campaign: &Campaign) -> FleetReport {
     let registry = Registry::with_all();
-    let fleet = Fleet::new(&registry, campaign.fleet_config());
+    let fleet = Fleet::new(&registry, campaign).unwrap();
     fleet.run(&campaign.jobs()[..], &Obs::noop())
 }
 

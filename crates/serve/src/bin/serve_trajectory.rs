@@ -25,9 +25,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use replica_bench::fat_linear_power_instance;
 use replica_core::dp_power_pruned::{solve_min_power_bounded_cost_in, PrunedScratch};
 use replica_core::IncrementalDp;
+use replica_engine::scenarios::fat_linear_power_instance;
 use replica_serve::{Generator, Preset};
 use replica_tree::ClientId;
 use std::hint::black_box;

@@ -24,8 +24,8 @@ use crate::gen::{Generator, Preset};
 use crate::render;
 use crate::server::{PlacementServer, ServeConfig};
 use crate::wire::ServeEvent;
-use replica_bench::{fat_linear_power_instance, fat_power_instance};
 use replica_engine::output::OutputFormat;
+use replica_engine::scenarios::{fat_linear_power_instance, fat_power_instance};
 use replica_model::Instance;
 use replica_obs::{MetricAccumulator, Obs, Span, Verbosity};
 use std::collections::HashMap;

@@ -190,7 +190,7 @@ impl SubtreeMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use replica_bench::paper_tree;
+    use replica_engine::scenarios::paper_tree;
 
     fn stream(preset: Preset, seed: u64, events: usize) -> Vec<DemandDelta> {
         let mut tree = paper_tree(3, 30);

@@ -317,7 +317,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use replica_bench::fat_linear_power_instance;
+    use replica_engine::scenarios::fat_linear_power_instance;
     use replica_tree::NodeId;
 
     fn drive(config: ServeConfig, seed: u64) -> Vec<EpochReport> {

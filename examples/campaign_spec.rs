@@ -57,8 +57,8 @@ fn main() {
             .map_or("∞".to_string(), |b| format!("{b}")),
     );
 
-    // A validated campaign cannot fail to configure a fleet.
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config()).expect("validated config");
+    // A validated campaign cannot fail to build a fleet.
+    let fleet = Fleet::new(&registry, &campaign).expect("validated campaign");
     let report = fleet.run(&campaign.space(), &Obs::noop());
 
     // The spec even names its preferred rendering.

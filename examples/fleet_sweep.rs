@@ -47,7 +47,7 @@ fn main() {
 
     // The indexed lazy job space: instances are generated on demand, one
     // streaming batch at a time — the campaign is never materialized.
-    let fleet = Fleet::try_new(&registry, campaign.fleet_config()).expect("validated config");
+    let fleet = Fleet::new(&registry, &campaign).expect("validated campaign");
     let report = fleet.run(&campaign.space(), &Obs::noop());
     println!("{}", report.table());
 

@@ -45,22 +45,21 @@
 //! use power_replica::engine::prelude::*;
 //!
 //! let registry = Registry::with_all();
-//! let scenarios = vec![
-//!     Scenario::new(Topology::Fat, Demand::Uniform, 20),
-//!     Scenario::new(Topology::Star, Demand::FlashCrowd, 20),
-//! ];
-//! // Jobs come from the indexed lazy job space: generated on demand,
-//! // never materialized campaign-wide.
-//! let space = ScenarioSpace::new(&scenarios, 42, 3);
-//! let fleet = Fleet::new(
-//!     &registry,
-//!     FleetConfig {
-//!         solvers: vec!["dp_power".into(), "greedy_power".into()],
-//!         ..Default::default()
-//!     },
-//! );
-//! let report = fleet.run(&space, &Obs::noop());
-//! assert_eq!(report.summaries.len(), scenarios.len() * 2);
+//! let campaign = CampaignSpec::builder()
+//!     .scenarios([
+//!         Scenario::new(Topology::Fat, Demand::Uniform, 20),
+//!         Scenario::new(Topology::Star, Demand::FlashCrowd, 20),
+//!     ])
+//!     .instances_per_scenario(3)
+//!     .solvers(["dp_power", "greedy_power"])
+//!     .seed(42)
+//!     .validate(&registry)
+//!     .unwrap();
+//! // Jobs come from the campaign's indexed lazy job space: generated on
+//! // demand, never materialized campaign-wide.
+//! let fleet = Fleet::new(&registry, &campaign).unwrap();
+//! let report = fleet.run(&campaign.space(), &Obs::noop());
+//! assert_eq!(report.summaries.len(), campaign.scenarios.len() * 2);
 //! ```
 //!
 //! ## Quickstart
@@ -104,8 +103,8 @@ pub mod prelude {
     };
     pub use replica_engine::{
         churn_families, extended_families, standard_families, Campaign, CampaignSpec, Demand,
-        Fleet, FleetConfig, Frontier, OutputFormat, Registry, Scenario, ScenarioSet, SolveOptions,
-        SpecError, Topology,
+        Fleet, Frontier, OutputFormat, Registry, Scenario, ScenarioSet, SolveOptions, SpecError,
+        Topology,
     };
     pub use replica_model::prelude::*;
     pub use replica_sim::{
