@@ -3,7 +3,7 @@
 //! A [`Fleet`] evaluates a batch of labelled instances against a set of
 //! registered solvers — the cartesian product `instances × solvers` — in
 //! parallel with rayon, and folds every outcome into per-`(scenario,
-//! solver)` online accumulators ([`crate::stream`]) the moment it is
+//! solver)` online accumulators ([`MetricAccumulator`]) the moment it is
 //! produced: cost/power/gap distributions (count, mean, min, max, P²
 //! p50/p90), server counts, wall-clock means, and speedups against a
 //! reference solver (the exact DP by default). The full cell matrix is
@@ -37,22 +37,19 @@
 //! whole space, and [`Fleet::run_shard`] — the `replica-fleetd` seam —
 //! runs one contiguous job range with the *global* per-job seeding, so
 //! a shard worker produces exactly the cells the full run would while
-//! constructing only that range's jobs. It also snapshots mergeable
-//! per-group state ([`GroupState`]), taps the cell stream and honours a
-//! [`CancelToken`]. [`FleetFold`] is the coordinator-side fold target
-//! that replays shard cell streams — in shard order — into a report
-//! byte-identical to a single-process [`Fleet::run`].
+//! constructing only that range's jobs. It also taps the cell stream
+//! and honours a [`CancelToken`]. [`FleetFold`] is the coordinator-side
+//! fold target that replays shard cell streams — in shard order — into
+//! a report byte-identical to a single-process [`Fleet::run`].
 
 use crate::jobspace::JobSpace;
 use crate::registry::Registry;
 use crate::seeding;
 use crate::solver::{SolveOptions, Solver};
 use crate::spec::{Campaign, SpecError};
-use crate::stream::{MetricAccumulator, MetricSink, RecordedMetric, Stats};
 use rayon::prelude::*;
 use replica_model::Instance;
-use replica_obs::{Obs, Span};
-use serde::{Deserialize, Serialize};
+use replica_obs::{MetricAccumulator, Obs, Span, Stats};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -228,26 +225,23 @@ pub struct FleetReport {
     pub cell_checksum: u64,
 }
 
-/// Streaming per-group state, generic over whether the metric
-/// accumulators keep their observation tape ([`MetricSink`]):
-/// [`MetricAccumulator`] for in-process runs, [`RecordedMetric`] for
-/// shard workers that must serialize mergeable state.
-struct GroupAcc<M> {
+/// Streaming state of one `(scenario, solver)` group.
+struct GroupAcc {
     scenario: String,
     solver: &'static str,
     solved: usize,
     failed: usize,
     unsupported: usize,
-    cost: M,
-    power: M,
+    cost: MetricAccumulator,
+    power: MetricAccumulator,
     servers_sum: f64,
-    gap: M,
+    gap: MetricAccumulator,
     wall_sum: f64,
-    wall: M,
-    speedup: M,
+    wall: MetricAccumulator,
+    speedup: MetricAccumulator,
 }
 
-impl<M: MetricSink> GroupAcc<M> {
+impl GroupAcc {
     fn new(scenario: String, solver: &'static str) -> Self {
         GroupAcc {
             scenario,
@@ -255,13 +249,13 @@ impl<M: MetricSink> GroupAcc<M> {
             solved: 0,
             failed: 0,
             unsupported: 0,
-            cost: M::default(),
-            power: M::default(),
+            cost: MetricAccumulator::default(),
+            power: MetricAccumulator::default(),
             servers_sum: 0.0,
-            gap: M::default(),
+            gap: MetricAccumulator::default(),
             wall_sum: 0.0,
-            wall: M::default(),
-            speedup: M::default(),
+            wall: MetricAccumulator::default(),
+            speedup: MetricAccumulator::default(),
         }
     }
 }
@@ -271,8 +265,8 @@ impl<M: MetricSink> GroupAcc<M> {
 /// occupy `solvers.len()` consecutive slots (campaign solver order), so
 /// the per-cell lookup is one borrowed-key map probe — the fold's hot
 /// path allocates nothing.
-struct Aggregation<M> {
-    groups: Vec<GroupAcc<M>>,
+struct Aggregation {
+    groups: Vec<GroupAcc>,
     scenario_base: HashMap<String, usize>,
     /// Solver names in cell-row order.
     solvers: Vec<&'static str>,
@@ -298,34 +292,17 @@ fn scale_stats(stats: Stats, factor: f64) -> Stats {
 }
 
 /// Incremental FNV-1a over anything `write!`-able (the cell checksum
-/// never materializes the formatted line). A shard merge also runs a
-/// shard-local lane, restarted per shard, so each digest line is
-/// formatted once and hashed into both.
-struct FnvHasher {
-    fleet: u64,
-    shard: Option<u64>,
-}
-
-impl FnvHasher {
-    fn new() -> Self {
-        FnvHasher {
-            fleet: seeding::FNV_OFFSET,
-            shard: None,
-        }
-    }
-}
+/// never materializes the formatted line).
+struct FnvHasher(u64);
 
 impl fmt::Write for FnvHasher {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.fleet = seeding::fnv1a(self.fleet, s.as_bytes());
-        if let Some(shard) = &mut self.shard {
-            *shard = seeding::fnv1a(*shard, s.as_bytes());
-        }
+        self.0 = seeding::fnv1a(self.0, s.as_bytes());
         Ok(())
     }
 }
 
-impl<M: MetricSink> Aggregation<M> {
+impl Aggregation {
     fn new(solvers: Vec<&'static str>, reference: Option<usize>) -> Self {
         Aggregation {
             groups: Vec::new(),
@@ -333,7 +310,7 @@ impl<M: MetricSink> Aggregation<M> {
             solvers,
             reference,
             cell_count: 0,
-            checksum: FnvHasher::new(),
+            checksum: FnvHasher(seeding::FNV_OFFSET),
         }
     }
 
@@ -455,166 +432,8 @@ impl<M: MetricSink> Aggregation<M> {
         FleetReport {
             summaries,
             cell_count: self.cell_count,
-            cell_checksum: self.checksum.fleet,
+            cell_checksum: self.checksum.0,
         }
-    }
-}
-
-impl Aggregation<RecordedMetric> {
-    /// Snapshots every group's mergeable state, in first-appearance
-    /// order.
-    fn group_states(&self) -> Vec<GroupState> {
-        self.groups
-            .iter()
-            .map(|g| GroupState {
-                scenario: g.scenario.clone(),
-                solver: g.solver.to_string(),
-                solved: g.solved,
-                failed: g.failed,
-                unsupported: g.unsupported,
-                servers_sum: g.servers_sum,
-                wall_sum: g.wall_sum,
-                cost: g.cost.clone(),
-                power: g.power.clone(),
-                gap: g.gap.clone(),
-                wall: g.wall.clone(),
-                speedup: g.speedup.clone(),
-            })
-            .collect()
-    }
-}
-
-/// The serializable, mergeable aggregation state of one `(scenario,
-/// solver)` group — what a `replica-fleetd` shard worker ships besides
-/// its raw cell stream.
-///
-/// Merging contract: left-folding the group states of contiguous shards
-/// in shard order ([`GroupState::merge_in_order`]) reproduces the
-/// sequential in-process accumulators exactly — counts and integer-valued
-/// sums pairwise, distribution metrics by ordered tape replay
-/// ([`RecordedMetric::merge_in_order`]). The coordinator uses this as an
-/// independent second route to the merged aggregates and cross-checks it
-/// against the canonical cell-replay route ([`GroupState::agrees_with`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct GroupState {
-    /// Scenario label.
-    pub scenario: String,
-    /// Solver name (a registry key).
-    pub solver: String,
-    /// Instances solved.
-    pub solved: usize,
-    /// Instances where the solver errored.
-    pub failed: usize,
-    /// Instances outside the solver's capabilities.
-    pub unsupported: usize,
-    /// Sum of server counts over solved instances. Server counts are
-    /// small integers, so this f64 sum is exact and order-independent —
-    /// pairwise merge is bit-exact.
-    pub servers_sum: f64,
-    /// Sum of wall-clock seconds over solved instances. Non-deterministic
-    /// measurement; its pairwise merge is exact only in real arithmetic
-    /// (see [`GroupState::agrees_with`]).
-    pub wall_sum: f64,
-    /// Cost distribution (mergeable).
-    pub cost: RecordedMetric,
-    /// Power distribution (mergeable).
-    pub power: RecordedMetric,
-    /// Power-ratio-to-reference distribution (mergeable).
-    pub gap: RecordedMetric,
-    /// Per-solve wall-clock distribution (mergeable; the measurements
-    /// are non-deterministic but the merge replays them exactly).
-    pub wall: RecordedMetric,
-    /// Wall-ratio-to-reference distribution (mergeable).
-    pub speedup: RecordedMetric,
-}
-
-impl GroupState {
-    /// Merges the state of the *immediately following* contiguous shard's
-    /// same group into `self`. Errors if the group keys disagree.
-    pub fn merge_in_order(&mut self, other: &GroupState) -> Result<(), String> {
-        if self.scenario != other.scenario || self.solver != other.solver {
-            return Err(format!(
-                "group key mismatch: {}/{} merged with {}/{}",
-                self.scenario, self.solver, other.scenario, other.solver
-            ));
-        }
-        self.solved += other.solved;
-        self.failed += other.failed;
-        self.unsupported += other.unsupported;
-        self.servers_sum += other.servers_sum;
-        self.wall_sum += other.wall_sum;
-        self.cost.merge_in_order(&other.cost);
-        self.power.merge_in_order(&other.power);
-        self.gap.merge_in_order(&other.gap);
-        self.wall.merge_in_order(&other.wall);
-        self.speedup.merge_in_order(&other.speedup);
-        Ok(())
-    }
-
-    /// Checks this (merged) state against the corresponding summary of a
-    /// sequentially folded report.
-    ///
-    /// Everything deterministic must match **exactly** (bit-for-bit):
-    /// counts, the cost/power/gap distributions, the mean server count,
-    /// the speedup *distribution* (its inputs are the recorded wall
-    /// values, identical on both routes). The wall-clock *sum* is the one
-    /// field whose pairwise merge is exact only in real arithmetic —
-    /// floating-point addition is not associative — so the derived mean
-    /// wall is compared within 1 ulp-scale relative tolerance instead.
-    pub fn agrees_with(&self, summary: &FleetSummary) -> Result<(), String> {
-        let context = format!("{}/{}", self.scenario, self.solver);
-        let check = |what: &str, ok: bool| {
-            if ok {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{context}: merged {what} diverged from the sequential fold"
-                ))
-            }
-        };
-        check(
-            "group key",
-            self.scenario == summary.scenario && self.solver == summary.solver,
-        )?;
-        check(
-            "solved/failed/unsupported counts",
-            (self.solved, self.failed, self.unsupported)
-                == (summary.solved, summary.failed, summary.unsupported),
-        )?;
-        check("cost distribution", self.cost.stats() == summary.cost)?;
-        check("power distribution", self.power.stats() == summary.power)?;
-        let mean_servers = if self.solved == 0 {
-            0.0
-        } else {
-            self.servers_sum / self.solved as f64
-        };
-        check("mean server count", mean_servers == summary.mean_servers)?;
-        let gap = (self.gap.count() > 0).then(|| self.gap.stats());
-        check("gap distribution", gap == summary.gap_vs_ref)?;
-        check(
-            "mean gap",
-            (self.gap.count() > 0).then(|| self.gap.mean()) == summary.power_gap_vs_ref,
-        )?;
-        check(
-            "speedup distribution",
-            (self.speedup.count() > 0).then(|| self.speedup.stats()) == summary.speedup_dist,
-        )?;
-        // Same story as the speedup distribution: both routes fold the
-        // identical recorded wall values in the identical order, so the
-        // distribution matches bit for bit even though the values
-        // themselves are measurements.
-        check("wall distribution", self.wall.stats() == summary.wall)?;
-        let mean_wall = if self.solved == 0 {
-            0.0
-        } else {
-            self.wall_sum / self.solved as f64
-        };
-        check(
-            "mean wall (tolerance)",
-            (mean_wall - summary.mean_wall_seconds).abs()
-                <= 1e-12 * summary.mean_wall_seconds.abs().max(1.0),
-        )?;
-        Ok(())
     }
 }
 
@@ -629,7 +448,7 @@ impl GroupState {
 /// accumulators — folded rows are dropped immediately. An empty fold
 /// comes from [`Fleet::fold`], over that fleet's lineup and reference.
 pub struct FleetFold {
-    agg: Aggregation<MetricAccumulator>,
+    agg: Aggregation,
 }
 
 impl FleetFold {
@@ -640,35 +459,10 @@ impl FleetFold {
         self.agg.fold_row(scenario, instance, row, &mut |_| {});
     }
 
-    /// Restarts the shard-local checksum: from here on
-    /// [`FleetFold::shard_checksum`] covers only the cells folded since,
-    /// which is the checksum a worker that ran just those jobs reports.
-    /// The running checksum goes on; each cell's digest line is formatted
-    /// once and hashed into both.
-    pub fn begin_shard(&mut self) {
-        self.agg.checksum.shard = Some(seeding::FNV_OFFSET);
-    }
-
-    /// FNV-1a checksum over the cells folded since the last
-    /// [`FleetFold::begin_shard`]; `None` before the first.
-    pub fn shard_checksum(&self) -> Option<u64> {
-        self.agg.checksum.shard
-    }
-
     /// Final snapshot.
     pub fn finish(self) -> FleetReport {
         self.agg.finish()
     }
-}
-
-/// The outcome of [`Fleet::run_shard`]: the shard-local report
-/// plus the mergeable per-group state a shard worker serializes.
-pub struct ShardRun {
-    /// Aggregates of the shard's own job range (shard-local counts and
-    /// checksum — *not* the full-fleet values).
-    pub report: FleetReport,
-    /// Mergeable group states, in the shard's first-appearance order.
-    pub groups: Vec<GroupState>,
 }
 
 /// The runner itself: a validated campaign's solver rows, reference and
@@ -732,17 +526,13 @@ impl<'r> Fleet<'r> {
     /// included) is byte-identical to an untraced run; the
     /// trace-invariance proptest pins this.
     pub fn run<S: JobSpace + ?Sized>(&self, space: &S, obs: &Obs) -> FleetReport {
-        self.run_range::<MetricAccumulator, S>(space, 0..space.len(), &mut |_| {}, obs, None)
+        self.run_range(space, 0..space.len(), &mut |_| {}, obs, None)
             .expect("no cancel token given")
             .finish()
     }
 
-    /// Runs one contiguous shard — jobs `range` — of the job space, over
-    /// **recording** accumulators: besides the shard-local report it
-    /// snapshots every group's mergeable [`GroupState`] (tapes included),
-    /// which is what a shard worker serializes for the coordinator's
-    /// state-merge cross-check. Recording costs `O(cells)` memory, so
-    /// whole in-process runs should prefer [`Fleet::run`].
+    /// Runs one contiguous shard — jobs `range` — of the job space and
+    /// returns its shard-local report.
     ///
     /// Per-job seeds derive from the job's **global** index in `space`,
     /// so a shard evaluates exactly the cells a full [`Fleet::run`] would
@@ -770,17 +560,13 @@ impl<'r> Fleet<'r> {
         mut observe: impl FnMut(&FleetCell),
         obs: &Obs,
         cancel: Option<&CancelToken>,
-    ) -> Option<ShardRun> {
-        let agg = self.run_range::<RecordedMetric, S>(space, range, &mut observe, obs, cancel)?;
-        let groups = agg.group_states();
-        Some(ShardRun {
-            report: agg.finish(),
-            groups,
-        })
+    ) -> Option<FleetReport> {
+        self.run_range(space, range, &mut observe, obs, cancel)
+            .map(Aggregation::finish)
     }
 
     /// The shared run body: generate and solve `space[range]` batch by
-    /// batch, fold sequentially in job order into `M`-backed group
+    /// batch, fold sequentially in job order into the group
     /// accumulators. Only indices inside `range` are ever handed to
     /// [`JobSpace::job`], and each batch's jobs are dropped before the
     /// next is generated.
@@ -796,14 +582,14 @@ impl<'r> Fleet<'r> {
     /// Cancellation: when `cancel` is given, the token is polled before
     /// each batch; a cancelled run stops generating work and returns
     /// `None` — no partial aggregation ever escapes.
-    fn run_range<M: MetricSink, S: JobSpace + ?Sized>(
+    fn run_range<S: JobSpace + ?Sized>(
         &self,
         space: &S,
         range: Range<usize>,
         observe: &mut dyn FnMut(&FleetCell),
         obs: &Obs,
         cancel: Option<&CancelToken>,
-    ) -> Option<Aggregation<M>> {
+    ) -> Option<Aggregation> {
         assert!(
             range.start <= range.end && range.end <= space.len(),
             "shard range {range:?} outside the job space (len {})",
@@ -812,7 +598,7 @@ impl<'r> Fleet<'r> {
         let batch = self.batch_jobs;
         let n_solvers = self.solvers.len();
         let total = range.end - range.start;
-        let mut agg: Aggregation<M> = Aggregation::new(self.names.clone(), self.reference);
+        let mut agg = Aggregation::new(self.names.clone(), self.reference);
         let body = || {
             let run_span = obs.span("campaign", format!("jobs {}..{}", range.start, range.end));
             let run_start = Instant::now();
@@ -1193,7 +979,7 @@ mod tests {
         let campaign = tiny_campaign(&["greedy", "greedy_power"], 2);
         let jobs = tiny_jobs();
         let mut seen: Vec<(String, usize, &'static str)> = Vec::new();
-        let run = Fleet::new(&registry, &campaign)
+        let report = Fleet::new(&registry, &campaign)
             .unwrap()
             .run_shard(
                 &jobs[..],
@@ -1203,7 +989,7 @@ mod tests {
                 None,
             )
             .expect("no cancel token given");
-        assert_eq!(seen.len(), run.report.cell_count);
+        assert_eq!(seen.len(), report.cell_count);
         let expected: Vec<(String, usize, &'static str)> = jobs
             .iter()
             .flat_map(|j| {
@@ -1263,10 +1049,8 @@ mod tests {
         let whole = fleet.run(&jobs[..], &Obs::noop());
 
         for shards in [1, 2, 3, jobs.len() + 3] {
-            // Worker side: run each contiguous range, recording cells and
-            // mergeable group state.
+            // Worker side: run each contiguous range, recording its cells.
             let mut fold = fleet.fold();
-            let mut merged_groups: Option<Vec<GroupState>> = None;
             for range in split(jobs.len(), shards) {
                 let mut rows: Vec<RecordedRow> = Vec::new();
                 let record = |cell: &FleetCell| {
@@ -1283,29 +1067,15 @@ mod tests {
                 let shard = fleet
                     .run_shard(&jobs[..], range, record, &Obs::noop(), None)
                     .expect("no cancel token given");
-                // Coordinator side, canonical route: replay the cells,
-                // reproducing the worker's shard-local checksum on the way.
-                fold.begin_shard();
+                // Coordinator side: replay the cells into the campaign
+                // fold, and alone, where they reproduce the worker's
+                // shard-local report.
+                let mut local = fleet.fold();
                 for (scenario, instance, row) in rows {
+                    local.fold_row(&scenario, instance, row.clone());
                     fold.fold_row(&scenario, instance, row);
                 }
-                assert_eq!(fold.shard_checksum(), Some(shard.report.cell_checksum));
-                // Coordinator side, state route: merge the group states.
-                merged_groups = Some(match merged_groups.take() {
-                    None => shard.groups,
-                    Some(mut acc) => {
-                        for group in &shard.groups {
-                            match acc
-                                .iter_mut()
-                                .find(|g| g.scenario == group.scenario && g.solver == group.solver)
-                            {
-                                Some(existing) => existing.merge_in_order(group).unwrap(),
-                                None => acc.push(group.clone()),
-                            }
-                        }
-                        acc
-                    }
-                });
+                assert_eq!(local.finish().digest(), shard.digest());
             }
             let merged = fold.finish();
             assert_eq!(
@@ -1316,15 +1086,6 @@ mod tests {
             assert_eq!(merged.cell_count, whole.cell_count);
             assert_eq!(merged.cell_checksum, whole.cell_checksum);
             assert_eq!(merged.table_deterministic(), whole.table_deterministic());
-            // And the independently merged group states agree, field by
-            // field, with the canonical replay of the same shard cells
-            // (not with `whole`: its wall-clock *measurements* differ
-            // run to run, and the wall-based columns reflect that).
-            let groups = merged_groups.expect("at least one shard");
-            assert_eq!(groups.len(), merged.summaries.len());
-            for (state, summary) in groups.iter().zip(&merged.summaries) {
-                state.agrees_with(summary).unwrap();
-            }
         }
     }
 
@@ -1343,7 +1104,7 @@ mod tests {
         let baseline = fleet
             .run_shard(&jobs[..], 0..jobs.len(), |_| {}, &Obs::noop(), None)
             .expect("no cancel token given");
-        assert_eq!(run.report.digest(), baseline.report.digest());
+        assert_eq!(run.digest(), baseline.digest());
 
         // Cancelling from the cell observer (batch_jobs = 2, so the
         // token trips mid-run) aborts at the next batch boundary and
@@ -1393,29 +1154,5 @@ mod tests {
         assert!(table.contains("gap_vs_ref"));
         assert!(!table.contains("ms/solve"));
         assert!(!table.contains("speedup"));
-    }
-
-    #[test]
-    fn group_state_round_trips_and_detects_divergence() {
-        let registry = Registry::with_all();
-        let fleet = Fleet::new(&registry, &shard_campaign()).unwrap();
-        let jobs = tiny_jobs();
-        let shard = fleet
-            .run_shard(&jobs[..], 0..jobs.len(), |_| {}, &Obs::noop(), None)
-            .expect("no cancel token given");
-        for (state, summary) in shard.groups.iter().zip(&shard.report.summaries) {
-            // Wire round-trip preserves agreement bit for bit.
-            let json = serde_json::to_string(state).unwrap();
-            let back: GroupState = serde_json::from_str(&json).unwrap();
-            back.agrees_with(summary).unwrap();
-        }
-        // A tampered state is caught.
-        let mut bad = shard.groups[1].clone();
-        bad.power.push(1.0);
-        assert!(bad.agrees_with(&shard.report.summaries[1]).is_err());
-        // Merging mismatched group keys is refused.
-        let mut a = shard.groups[0].clone();
-        let b = shard.groups[1].clone();
-        assert!(a.merge_in_order(&b).is_err());
     }
 }

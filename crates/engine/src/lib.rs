@@ -25,17 +25,19 @@
 //!    validated [`Campaign`] ([`Fleet::new`]): labelled instances ×
 //!    solvers evaluated in parallel with deterministic per-instance
 //!    seeding ([`seeding`]) and folded, in job order, into
-//!    per-`(scenario, solver)` **streaming accumulators** ([`stream`]) —
+//!    per-`(scenario, solver)` **streaming accumulators**
+//!    ([`MetricAccumulator`], from `replica-obs`) —
 //!    cost/power/gap distributions with P² percentile sketches,
 //!    optimality gaps and speedups against the exact DP — without ever
 //!    materializing the cell matrix. Jobs come from an **indexed lazy
 //!    [`JobSpace`]** ([`jobspace`]): `index → FleetJob` as a pure
 //!    function of the global job index, so running any contiguous range
 //!    constructs only that range's jobs. The shard entry point
-//!    ([`Fleet::run_shard`]) and [`FleetFold`], [`GroupState`] and
-//!    [`RecordedMetric`] let `replica-fleetd` split a fleet across
-//!    processes — each worker `O(shard)` in generation and memory — and
-//!    merge the pieces back byte-identically.
+//!    ([`Fleet::run_shard`], whose cell tap records a shard's cells) and
+//!    [`FleetFold`] (which replays them in shard order) let
+//!    `replica-fleetd` split a fleet across processes — each worker
+//!    `O(shard)` in generation and memory — and merge the pieces back
+//!    byte-identically.
 //! 5. **[`spec`]** — the declarative campaign API: [`CampaignSpec`], the
 //!    single serde-serializable, *validated* description of any run
 //!    (named scenario sets or inline scenario lists, solver lineup,
@@ -106,16 +108,16 @@ pub mod scenarios;
 pub mod seeding;
 pub mod solver;
 pub mod spec;
-pub mod stream;
 pub mod sweep;
 
 pub use fleet::{
     CancelToken, CellOutcome, CellResult, Fleet, FleetCell, FleetFold, FleetJob, FleetReport,
-    FleetSummary, GroupState, ShardRun,
+    FleetSummary,
 };
 pub use jobspace::{CountingSpace, JobSpace, ScenarioSpace};
 pub use output::{render, OutputFormat};
 pub use registry::Registry;
+pub use replica_obs::{MetricAccumulator, Stats};
 pub use scenarios::{
     churn_families, extended_families, standard_families, Demand, Scenario, Topology,
 };
@@ -123,7 +125,6 @@ pub use solver::{Capabilities, EngineError, SolveOptions, SolveOutcome, Solver};
 pub use spec::{
     Campaign, CampaignSpec, CampaignSpecBuilder, ScenarioSet, ScenarioSetRef, SpecError,
 };
-pub use stream::{MetricAccumulator, RecordedMetric, Stats};
 pub use sweep::{Frontier, FrontierPoint, SweepOutcome};
 
 /// The out-of-band telemetry layer (re-export of `replica-obs`): the

@@ -16,9 +16,8 @@
 //! reports across runs.
 
 use crate::fleet::{FleetReport, FleetSummary};
-use crate::obs::{Analysis, AttemptEvent, SchedOp, ShardTimeline};
+use crate::obs::{Analysis, AttemptEvent, SchedOp, ShardTimeline, Stats};
 use crate::spec::{did_you_mean, SpecError};
-use crate::stream::Stats;
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::fmt;

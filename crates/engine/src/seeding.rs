@@ -41,12 +41,13 @@ pub fn label_stream(label: &str) -> u64 {
 }
 
 /// The FNV-1a offset basis: the hash of no bytes.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Extends the FNV-1a hash `hash` by `bytes` — the engine's one stable
-/// 64-bit hash, behind scenario seed streams, campaign fingerprints and
-/// fleet cell checksums.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Extends the FNV-1a hash `hash` by `bytes` — the workspace's one
+/// stable 64-bit hash, behind scenario seed streams, campaign
+/// fingerprints, fleet cell checksums and `replica-fleetd`'s shard
+/// report checksums.
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -64,6 +64,7 @@ use crate::scenarios::Scenario;
 use crate::solver::Solver;
 use replica_model::ModeSet;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
 
@@ -152,6 +153,12 @@ pub enum SpecError {
     /// The same solver appears twice in the lineup (groups are keyed by
     /// `(scenario, solver)`, so a duplicate would merge ambiguously).
     DuplicateSolver {
+        /// The repeated name.
+        name: String,
+    },
+    /// Two scenarios share a name (groups are keyed by it and instances
+    /// are seeded from it, so the two would fold into one group).
+    DuplicateScenario {
         /// The repeated name.
         name: String,
     },
@@ -251,6 +258,11 @@ impl fmt::Display for SpecError {
                 f,
                 "solver {name:?} appears more than once in the lineup; \
                  each solver may run at most once per campaign"
+            ),
+            SpecError::DuplicateScenario { name } => write!(
+                f,
+                "scenario name {name:?} appears more than once; each \
+                 scenario of a campaign needs its own name"
             ),
             SpecError::ReferenceNotInLineup { reference } => write!(
                 f,
@@ -824,8 +836,14 @@ impl Campaign {
         if self.scenarios.is_empty() {
             return Err(SpecError::EmptyScenarioList);
         }
+        let mut names = HashSet::with_capacity(self.scenarios.len());
         for scenario in &self.scenarios {
             validate_scenario(scenario)?;
+            if !names.insert(scenario.name.as_str()) {
+                return Err(SpecError::DuplicateScenario {
+                    name: scenario.name.clone(),
+                });
+            }
         }
         if self.instances_per_scenario == 0 {
             return Err(SpecError::ZeroInstances);
@@ -1007,6 +1025,15 @@ mod tests {
             bad.validate(&registry),
             Err(SpecError::DuplicateSolver { .. })
         ));
+
+        let mut bad = good.clone();
+        bad.scenarios[1].name = bad.scenarios[0].name.clone();
+        assert_eq!(
+            bad.validate(&registry),
+            Err(SpecError::DuplicateScenario {
+                name: good.scenarios[0].name.clone()
+            })
+        );
 
         let mut bad = good.clone();
         bad.batch_jobs = 0;

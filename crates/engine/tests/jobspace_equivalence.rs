@@ -146,8 +146,7 @@ fn shard_runs_construct_only_their_range() {
 
     let report = fleet
         .run_shard(&space, 2..5, |_| {}, &Obs::noop(), None)
-        .expect("no cancel token given")
-        .report;
+        .expect("no cancel token given");
     assert_eq!(
         space.generated(),
         3,
@@ -159,8 +158,7 @@ fn shard_runs_construct_only_their_range() {
     let before = space.generated();
     let empty = fleet
         .run_shard(&space, 5..5, |_| {}, &Obs::noop(), None)
-        .expect("no cancel token given")
-        .report;
+        .expect("no cancel token given");
     assert_eq!(space.generated(), before);
     assert_eq!(empty.cell_count, 0);
 }

@@ -3,9 +3,10 @@
 //! Deliberately tiny (the workspace adds no CLI dependency for one binary):
 //! `--name` flags, order-insensitive. The [`SWITCHES`] take no value and
 //! every other flag takes exactly one. Each command accepts only the
-//! flags [`USAGE`] lists for it ([`accepted_flags`]): a misspelled flag,
-//! a flag without its value and a stray token are errors, not silently
-//! ignored entries that run the wrong experiment.
+//! flags [`USAGE`] lists for it ([`accepted_flags`]), each at most once:
+//! a misspelled flag, a repeated flag, a flag without its value and a
+//! stray token are errors, not silently ignored entries that run the
+//! wrong experiment.
 
 use replica_engine::spec::CAMPAIGN_FLAG_NAMES;
 
@@ -89,8 +90,9 @@ pub struct Args {
 
 impl Args {
     /// Parses raw arguments (everything after the subcommand). A flag
-    /// outside `accepted`, a value flag not followed by its value and a
-    /// token that is neither a flag nor a flag's value are errors.
+    /// outside `accepted`, a flag given twice, a value flag not followed
+    /// by its value and a token that is neither a flag nor a flag's value
+    /// are errors.
     pub fn parse(raw: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut flags = Vec::new();
         let mut tokens = raw.iter();
@@ -100,6 +102,9 @@ impl Args {
             };
             if !accepted.contains(&name) {
                 return Err(format!("unknown flag --{name}"));
+            }
+            if flags.iter().any(|(given, _)| given == name) {
+                return Err(format!("--{name} given twice"));
             }
             let value = if SWITCHES.contains(&name) {
                 None
@@ -207,13 +212,18 @@ mod tests {
     #[test]
     fn non_flag_tokens_are_rejected() {
         let exp1 = accepted_flags("exp1").unwrap();
-        for args in [
-            &["stray", "--seed", "7", "stray2"][..],
-            &["--seed", "7", "stray2"],
-            &["--quick", "5"],
+        for (args, error) in [
+            (
+                &["stray", "--seed", "7", "stray2"][..],
+                "unexpected argument",
+            ),
+            (&["--seed", "7", "stray2"], "unexpected argument"),
+            (&["--quick", "5"], "unexpected argument"),
+            (&["--seed", "7", "--seed", "8"], "--seed given twice"),
+            (&["--quick", "--high", "--quick"], "--quick given twice"),
         ] {
             let err = Args::parse(&raw(args), &exp1).unwrap_err();
-            assert!(err.starts_with("unexpected argument"), "{args:?}: {err}");
+            assert!(err.starts_with(error), "{args:?}: {err}");
         }
     }
 

@@ -167,8 +167,19 @@ fn allowed_flags(command: &str) -> Option<Vec<&'static str>> {
     Some(allowed)
 }
 
+/// The most bare arguments `command` takes: the campaign commands take
+/// none, `status` and `analyze` one directory or trace, and `merge` any
+/// number of report files.
+fn max_positional(command: &str) -> usize {
+    match command {
+        "spec" | "plan" | "work" | "run" => 0,
+        "status" | "analyze" => 1,
+        _ => usize::MAX,
+    }
+}
+
 /// Parsed command line: `--flag value` pairs, boolean switches, and
-/// positional arguments.
+/// positional arguments. A flag or switch may appear once.
 #[derive(Debug)]
 struct Args {
     flags: HashMap<String, String>,
@@ -184,6 +195,9 @@ impl Args {
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if SWITCHES.contains(&arg.as_str()) {
+                if switches.contains(arg) {
+                    return Err(FleetdError::Usage(format!("flag {arg} given twice")));
+                }
                 switches.push(arg.clone());
             } else if let Some(name) = arg.strip_prefix("--") {
                 if let Some(allowed) = allowed {
@@ -196,7 +210,9 @@ impl Args {
                 let value = iter
                     .next()
                     .ok_or_else(|| FleetdError::Usage(format!("flag --{name} needs a value")))?;
-                flags.insert(name.to_string(), value.clone());
+                if flags.insert(name.to_string(), value.clone()).is_some() {
+                    return Err(FleetdError::Usage(format!("flag --{name} given twice")));
+                }
             } else {
                 positional.push(arg.clone());
             }
@@ -590,7 +606,15 @@ pub fn main(args: Vec<String>) -> i32 {
         eprint!("{USAGE}");
         return 2;
     };
-    let parsed = match Args::parse(rest, allowed_flags(command).as_deref()) {
+    let parsed = Args::parse(rest, allowed_flags(command).as_deref()).and_then(|args| {
+        match args.positional.get(max_positional(command)) {
+            Some(stray) => Err(FleetdError::Usage(format!(
+                "unexpected argument {stray:?} (run `fleetd help` for the usage)"
+            ))),
+            None => Ok(args),
+        }
+    });
+    let parsed = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("fleetd: {e}");
@@ -682,6 +706,34 @@ mod tests {
             2,
             "typoed flag must be a usage error"
         );
+        // A repeated flag or switch is an error naming it, not a
+        // silent last-one-wins.
+        for (tokens, flag) in [
+            (&["--seed", "3", "--seed", "4"][..], "--seed"),
+            (&["--steal", "--in-process", "--steal"], "--steal"),
+        ] {
+            let tokens: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+            let err = Args::parse(&tokens, allowed_flags("run").as_deref()).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("{flag} given twice")),
+                "{err}"
+            );
+            assert_eq!(err.exit_code(), 2);
+        }
+        // A bare token where the command takes none, or one too many,
+        // is a usage error too; so is a repeated flag, end to end.
+        let cheap = "--scenarios standard --nodes 10 --count 1 --solvers greedy \
+                     --in-process --no-verify";
+        for line in [
+            format!("run stray {cheap}"),
+            format!("run {cheap} --seed 3 --seed 4"),
+            "spec stray --scenarios standard".to_string(),
+            "status dir other".to_string(),
+            "analyze trace.jsonl other".to_string(),
+        ] {
+            let tokens = line.split_whitespace().map(str::to_string).collect();
+            assert_eq!(main(tokens), 2, "{line}");
+        }
     }
 
     #[test]

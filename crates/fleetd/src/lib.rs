@@ -21,15 +21,13 @@
 //!    the shard's range against it through the in-process engine with
 //!    *global* job seeding — only the shard's own jobs are ever
 //!    constructed — and serialize a [`ShardReport`]: the raw cell
-//!    stream plus mergeable per-group accumulator state.
-//! 3. **[`merge`]** — fold the shard cell streams, in shard order,
-//!    through the engine's [`FleetFold`](replica_engine::FleetFold):
-//!    because that replays the exact sequential fold of an unsharded
-//!    run, the merged aggregates, cell count and FNV cell checksum are
-//!    byte-identical to a single-process `Fleet::run` *by construction*
-//!    — and the independently merged
-//!    [`GroupState`](replica_engine::GroupState)s cross-check it on
-//!    every merge.
+//!    stream and an exact checksum over every field of every cell.
+//! 3. **[`merge`]** — check each report's checksum, then fold the shard
+//!    cell streams, in shard order, through the engine's
+//!    [`FleetFold`](replica_engine::FleetFold): because that replays the
+//!    exact sequential fold of an unsharded run, the merged aggregates,
+//!    cell count and FNV cell checksum are byte-identical to a
+//!    single-process `Fleet::run` *by construction*.
 //! 4. **[`coordinator`]** — spawn the workers
 //!    ([`std::process::Command`], re-invoking the same binary), collect
 //!    and merge, optionally prove equivalence against a fresh

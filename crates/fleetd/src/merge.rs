@@ -8,26 +8,23 @@
 //! single-process `Fleet::run` would — same lineup, same reference, same
 //! aggregates, same cell count, same FNV cell checksum, bit for bit.
 //!
-//! Independently of that canonical route, the workers' mergeable
-//! [`GroupState`]s are folded with `GroupState::merge_in_order` and
-//! compared field-by-field against the replayed summaries
-//! ([`GroupState::agrees_with`]). A divergence means a corrupted or
-//! mismatched report and fails the merge — the determinism proof is not
-//! assumed, it is checked on every merge.
+//! Before a report's cells are folded, their exact
+//! [`checksum`](crate::shard::checksum) is recomputed and compared with
+//! the worker's: a report changed in any field of any cell after the
+//! worker wrote it — one ulp of a cost, a wall time — fails the merge.
 
 use crate::error::FleetdError;
 use crate::plan::ShardPlan;
-use crate::shard::ShardReport;
-use replica_engine::{Fleet, FleetReport, GroupState, Registry};
+use crate::shard::{self, ShardReport};
+use replica_engine::{Fleet, FleetReport, Registry};
 
 /// Merges shard reports (any order; they are sorted by shard index)
 /// into the campaign's full [`FleetReport`].
 ///
 /// Validates, per report: the campaign fingerprint, the shard range
-/// against the plan, the cell count, and the shard-local checksum
-/// (recomputed from the cells). Validates globally: every planned shard
-/// present exactly once, and the state-merge route agreeing with the
-/// cell-replay route.
+/// against the plan, the cell count, the shard-local checksum
+/// (recomputed from the cells) and the row-major cell order. Validates
+/// globally: every planned shard present exactly once.
 pub fn merge_reports(
     plan: &ShardPlan,
     reports: &[ShardReport],
@@ -52,7 +49,6 @@ fn merge_borrowed(
     let mut fold = Fleet::new(&Registry::with_all(), &plan.campaign)?.fold();
     // Cell rows are row-major in campaign solver order.
     let solvers = &plan.campaign.solvers;
-    let mut merged_groups: Vec<GroupState> = Vec::new();
 
     for (manifest, report) in plan.shards.iter().zip(&ordered) {
         let context = format!("shard {}", report.shard);
@@ -80,52 +76,19 @@ fn merge_borrowed(
             )));
         }
 
-        // Canonical route: replay this shard's cells into the
-        // campaign-wide fold, whose shard-local checksum must reproduce
-        // the worker's (integrity).
-        fold.begin_shard();
-        for (scenario, instance, row) in rows_of(report, solvers)? {
-            fold.fold_row(scenario, instance, row);
-        }
-        let replayed = fold.shard_checksum().expect("a shard was begun");
-        if replayed != report.checksum {
+        let recomputed = shard::checksum(&report.cells);
+        if recomputed != report.checksum {
             return Err(FleetdError::Protocol(format!(
-                "{context}: replayed checksum {replayed:016x} != worker checksum {:016x} \
+                "{context}: cell checksum {recomputed:016x} != worker checksum {:016x} \
                  (corrupted report)",
                 report.checksum
             )));
         }
-
-        // State route: merge the worker's group accumulators in shard
-        // order, first-appearance ordering preserved.
-        for group in &report.groups {
-            match merged_groups
-                .iter_mut()
-                .find(|g| g.scenario == group.scenario && g.solver == group.solver)
-            {
-                Some(existing) => existing
-                    .merge_in_order(group)
-                    .map_err(FleetdError::Protocol)?,
-                None => merged_groups.push(group.clone()),
-            }
+        for (scenario, instance, row) in rows_of(report, solvers)? {
+            fold.fold_row(scenario, instance, row);
         }
     }
-
-    let report = fold.finish();
-
-    // The two routes must agree exactly (wall means within float
-    // tolerance; see GroupState::agrees_with).
-    if merged_groups.len() != report.summaries.len() {
-        return Err(FleetdError::Protocol(format!(
-            "state merge produced {} groups, cell replay {}",
-            merged_groups.len(),
-            report.summaries.len()
-        )));
-    }
-    for (state, summary) in merged_groups.iter().zip(&report.summaries) {
-        state.agrees_with(summary).map_err(FleetdError::Protocol)?;
-    }
-    Ok(report)
+    Ok(fold.finish())
 }
 
 /// [`merge_reports`] behind the attempt fence: `winning[k]` is the
@@ -137,8 +100,7 @@ fn merge_borrowed(
 /// winner at all, is a typed protocol error naming the shard and
 /// attempt. The payload merge itself is [`merge_reports`]'s, run over
 /// the borrowed winners, so fencing cannot perturb determinism: the
-/// survivors replay through the same fold, checksums and cross-checks
-/// included.
+/// survivors replay through the same fold, checksums included.
 pub fn merge_reports_fenced(
     plan: &ShardPlan,
     reports: &[ShardReport],
@@ -206,6 +168,7 @@ fn rows_of<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{CellRecord, CellStatus};
     use crate::worker::run_shard;
     use replica_engine::obs::Obs;
     use replica_engine::{Campaign, Fleet, Registry};
@@ -281,17 +244,35 @@ mod tests {
         foreign[1].fingerprint ^= 1;
         assert!(merge_reports(&plan, &foreign).is_err());
 
-        // Tampered cell (checksum catches it).
-        let mut tampered = good.clone();
-        if let crate::shard::CellStatus::Solved { power, .. } = &mut tampered[0].cells[0].status {
-            *power += 1.0;
+        // Tampered solved cell: the exact checksum catches a change in
+        // any field, also one the digest line would not show.
+        for tamper in [
+            (|cell: &mut CellRecord| {
+                if let CellStatus::Solved { power, .. } = &mut cell.status {
+                    *power += 1.0;
+                }
+            }) as fn(&mut CellRecord),
+            // One ulp of cost, below the digest line's nine decimals.
+            |cell| {
+                if let CellStatus::Solved { cost, .. } = &mut cell.status {
+                    *cost = f64::from_bits(cost.to_bits() + 1);
+                }
+            },
+            // The wall time, which the digest line leaves out.
+            |cell| cell.wall *= 2.0,
+        ] {
+            let mut tampered = good.clone();
+            let cell = tampered[0]
+                .cells
+                .iter_mut()
+                .find(|c| matches!(c.status, CellStatus::Solved { .. }))
+                .expect("shard 0 solves a cell");
+            tamper(cell);
+            let err = merge_reports(&plan, &tampered)
+                .err()
+                .expect("a tampered report cannot merge");
+            assert!(err.to_string().contains("corrupted report"), "{err}");
         }
-        assert!(merge_reports(&plan, &tampered).is_err());
-
-        // Tampered group state (cross-check catches it).
-        let mut bad_state = good.clone();
-        bad_state[0].groups[0].power.push(1.0);
-        assert!(merge_reports(&plan, &bad_state).is_err());
 
         // The originals still merge.
         assert!(merge_reports(&plan, &good).is_ok());

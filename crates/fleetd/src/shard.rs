@@ -1,25 +1,18 @@
 //! The shard report: what one worker ships back to the coordinator.
 //!
-//! A [`ShardReport`] carries the two independent representations the
-//! merge needs:
+//! A [`ShardReport`] is its shard's raw cell stream, in job order: the
+//! serialization of the engine's `Fleet::run_shard` cell tap. The merge
+//! replays those cells through one sequential fold, which is the only
+//! way to continue the *combined* FNV cell checksum (FNV over a
+//! concatenation cannot be assembled from the parts' end states) and
+//! the order-sensitive quantile sketches.
 //!
-//! * **`cells`** — the shard's raw cell stream, in job order. This is
-//!   the serialization of the engine's `Fleet::run_shard` cell tap and the
-//!   only representation from which the *combined* FNV cell checksum can
-//!   be continued (FNV over a concatenation cannot be assembled from the
-//!   parts' end states — the merge must replay the bytes, i.e. the
-//!   cells).
-//! * **`groups`** — mergeable per-`(scenario, solver)` accumulator state
-//!   ([`GroupState`], tapes included), the second route to the merged
-//!   aggregates that the coordinator cross-checks against the cell
-//!   replay.
-//!
-//! Shard-local `cell_count`/`checksum` let the merge verify each
-//! report's integrity in isolation before folding it into the campaign
-//! totals.
+//! The shard-local `cell_count` and exact [`checksum`] let the merge
+//! verify each report's integrity in isolation before folding it into
+//! the campaign totals.
 
 use replica_engine::fleet::{CellOutcome, CellResult, FleetCell};
-use replica_engine::GroupState;
+use replica_engine::seeding::{fnv1a, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 
 /// How one recorded `(instance, solver)` evaluation ended — the
@@ -122,12 +115,40 @@ pub struct ShardReport {
     pub end: usize,
     /// Shard-local cell count (jobs × solvers of this shard only).
     pub cell_count: usize,
-    /// Shard-local FNV checksum over this shard's cell digest lines
-    /// (integrity check — *not* the combined campaign checksum).
+    /// [`checksum`] of `cells`: the merge recomputes it before it folds,
+    /// so a cell changed in any bit of any field fails the merge. It
+    /// covers wall times too, so two runs of one shard differ: it checks
+    /// integrity, not determinism, and it is *not* the combined
+    /// campaign checksum.
     pub checksum: u64,
     /// The raw cell stream, in job order, row-major by solver.
     pub cells: Vec<CellRecord>,
-    /// Mergeable per-group accumulator state, in the shard's
-    /// first-appearance order.
-    pub groups: Vec<GroupState>,
+}
+
+/// FNV-1a over every field of every cell, in stream order: scenario,
+/// instance, solver, the status with its cost, power, server count or
+/// error text, and the wall time. Floats enter by their bits and strings
+/// with their length, so one ulp of a cost or a moved wall time changes
+/// the checksum, where the digest line's nine decimals would not.
+pub fn checksum(cells: &[CellRecord]) -> u64 {
+    let word = |hash: u64, value: u64| fnv1a(hash, &value.to_le_bytes());
+    let text = |hash: u64, s: &str| fnv1a(word(hash, s.len() as u64), s.as_bytes());
+    cells.iter().fold(FNV_OFFSET, |hash, cell| {
+        let hash = text(hash, &cell.scenario);
+        let hash = word(hash, cell.instance as u64);
+        let hash = text(hash, &cell.solver);
+        let hash = match &cell.status {
+            CellStatus::Solved {
+                cost,
+                power,
+                servers,
+            } => {
+                let hash = word(fnv1a(hash, &[0]), cost.to_bits());
+                word(word(hash, power.to_bits()), *servers)
+            }
+            CellStatus::Unsupported => fnv1a(hash, &[1]),
+            CellStatus::Failed { error } => text(fnv1a(hash, &[2]), error),
+        };
+        word(hash, cell.wall.to_bits())
+    })
 }

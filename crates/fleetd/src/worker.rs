@@ -6,8 +6,8 @@
 //! nothing is shipped), runs its shard range against it through the
 //! engine's in-process fleet with **global** job indices (so
 //! per-instance solver seeds match the unsharded run exactly), and
-//! serializes a [`ShardReport`]: the raw cell stream plus mergeable
-//! group state.
+//! serializes a [`ShardReport`]: the raw cell stream and its exact
+//! [`checksum`](crate::shard::checksum).
 //!
 //! Job generation is lazy: the engine queries
 //! [`Campaign::space`](replica_engine::Campaign::space) only for the
@@ -20,7 +20,7 @@
 
 use crate::error::FleetdError;
 use crate::plan::ShardPlan;
-use crate::shard::{CellRecord, ShardReport};
+use crate::shard::{self, CellRecord, ShardReport};
 use replica_engine::obs::Obs;
 use replica_engine::{CancelToken, Fleet, JobSpace, Registry};
 
@@ -71,7 +71,7 @@ pub fn run_shard_attempt<S: JobSpace + ?Sized>(
     let registry = Registry::with_all();
     let fleet = Fleet::new(&registry, &plan.campaign)?;
     let mut cells = Vec::with_capacity(manifest.len() * plan.campaign.solvers.len());
-    let Some(run) = fleet.run_shard(
+    let Some(report) = fleet.run_shard(
         space,
         manifest.start..manifest.end,
         |cell| {
@@ -90,17 +90,34 @@ pub fn run_shard_attempt<S: JobSpace + ?Sized>(
         shard_count: plan.shards.len(),
         start: manifest.start,
         end: manifest.end,
-        cell_count: run.report.cell_count,
-        checksum: run.report.cell_checksum,
+        cell_count: report.cell_count,
+        checksum: shard::checksum(&cells),
         cells,
-        groups: run.groups,
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::CellStatus;
     use replica_engine::Campaign;
+
+    /// Every cell of `report` but its wall time: what two runs of one
+    /// shard share exactly.
+    fn cell_keys(report: &ShardReport) -> Vec<(&str, usize, &str, &CellStatus)> {
+        report
+            .cells
+            .iter()
+            .map(|c| {
+                (
+                    c.scenario.as_str(),
+                    c.instance,
+                    c.solver.as_str(),
+                    &c.status,
+                )
+            })
+            .collect()
+    }
 
     fn tiny_plan(shards: usize) -> ShardPlan {
         let mut campaign = Campaign::from_set("standard", 12, 1, 3).unwrap();
@@ -136,7 +153,7 @@ mod tests {
             .unwrap()
             .expect("no cancel token given");
         assert_eq!(retry.attempt, 3);
-        assert_eq!(retry.checksum, base.checksum);
+        assert_eq!(cell_keys(&retry), cell_keys(&base));
         assert_eq!(retry.cell_count, base.cell_count);
 
         // A pre-cancelled attempt returns nothing at all.
@@ -151,10 +168,7 @@ mod tests {
         let plan = tiny_plan(3);
         let a = run_shard(&plan, 1).unwrap();
         let b = run_shard(&plan, 1).unwrap();
-        assert_eq!(a.checksum, b.checksum);
+        assert_eq!(cell_keys(&a), cell_keys(&b));
         assert_eq!(a.cell_count, b.cell_count);
-        for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(x.status, y.status, "{}/{}", x.scenario, x.solver);
-        }
     }
 }

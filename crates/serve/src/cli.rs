@@ -137,6 +137,9 @@ impl Args {
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if SWITCHES.contains(&arg.as_str()) {
+                if switches.contains(arg) {
+                    return Err(CliError::Usage(format!("flag {arg} given twice")));
+                }
                 switches.push(arg.clone());
             } else if let Some(name) = arg.strip_prefix("--") {
                 if !FLAGS.contains(&name) {
@@ -147,7 +150,9 @@ impl Args {
                 let value = iter
                     .next()
                     .ok_or_else(|| CliError::Usage(format!("flag --{name} needs a value")))?;
-                flags.insert(name.to_string(), value.clone());
+                if flags.insert(name.to_string(), value.clone()).is_some() {
+                    return Err(CliError::Usage(format!("flag --{name} given twice")));
+                }
             } else {
                 return Err(CliError::Usage(format!("unexpected argument {arg:?}")));
             }

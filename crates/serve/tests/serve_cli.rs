@@ -182,6 +182,8 @@ fn unknown_flags_and_conflicting_sources_are_usage_errors() {
     assert_eq!(run(&["--generate", "nope"]), 2);
     assert_eq!(run(&["--alpha", "2"]), 2);
     assert_eq!(run(&["--format", "yaml"]), 2);
+    assert_eq!(run(&["--epochs", "1", "--epochs", "2"]), 2);
+    assert_eq!(run(&["--stdin", "--stdin"]), 2);
     assert_eq!(run(&["help"]), 0);
 }
 

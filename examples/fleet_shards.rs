@@ -58,9 +58,9 @@ fn main() {
         );
     }
 
-    // Work + merge. Every shard replays through the engine's sequential
-    // fold, so the merge is exact — and cross-checked against the
-    // workers' mergeable group states on every run.
+    // Work + merge. Every shard's report is checked against its exact
+    // checksum and replayed through the engine's sequential fold, so the
+    // merge is exact.
     let merged = run_plan(&plan, &Workers::InProcess).expect("campaign is valid");
     println!("\n{}", merged.table());
 
