@@ -52,7 +52,6 @@ use replica_model::Instance;
 use replica_obs::{MetricAccumulator, Obs, Span, Stats};
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -730,130 +729,13 @@ impl<'r> Fleet<'r> {
 }
 
 impl FleetReport {
-    /// The deterministic portion of the report: the cell-matrix
-    /// fingerprint (count + checksum over every cell's outcome line, in
-    /// job order) and every aggregate, timing fields excluded.
-    /// Byte-identical across runs, thread counts and batch sizes for a
-    /// fixed seed.
+    /// The deterministic portion of the report: its `json-det`
+    /// rendering — the cell-matrix fingerprint (count + checksum over
+    /// every cell's outcome line, in job order) and every aggregate,
+    /// timing fields excluded. Byte-identical across runs, thread counts
+    /// and batch sizes for a fixed seed.
     pub fn digest(&self) -> String {
-        let mut out = String::new();
-        writeln!(
-            out,
-            "cells={} checksum={:016x}",
-            self.cell_count, self.cell_checksum
-        )
-        .expect("writing to String cannot fail");
-        for s in &self.summaries {
-            writeln!(
-                out,
-                "{} {}: solved={} failed={} unsupported={} cost[{:.9}/{:.9}/{:.9}] \
-                 power[{:.9}/{:.9}/{:.9}] power_p50={:.9} servers={:.4} gap={}",
-                s.scenario,
-                s.solver,
-                s.solved,
-                s.failed,
-                s.unsupported,
-                s.cost.min,
-                s.cost.mean,
-                s.cost.max,
-                s.power.min,
-                s.power.mean,
-                s.power.max,
-                s.power.p50,
-                s.mean_servers,
-                s.power_gap_vs_ref
-                    .map_or("-".to_string(), |g| format!("{g:.9}")),
-            )
-            .expect("writing to String cannot fail");
-        }
-        out
-    }
-
-    /// Renders the aggregates as an aligned ASCII table (includes the
-    /// non-deterministic timing columns).
-    pub fn table(&self) -> String {
-        let mut rows = vec![vec![
-            "scenario".to_string(),
-            "solver".into(),
-            "solved".into(),
-            "fail".into(),
-            "power_mean".into(),
-            "power_p90".into(),
-            "cost_mean".into(),
-            "servers".into(),
-            "gap_vs_ref".into(),
-            "ms/solve".into(),
-            "ms_p90".into(),
-            "speedup".into(),
-        ]];
-        for s in &self.summaries {
-            let mut row = Self::deterministic_cells(s);
-            row.push(format!("{:.3}", s.wall.mean * 1e3));
-            row.push(format!("{:.3}", s.wall.p90 * 1e3));
-            row.push(s.speedup_vs_ref.map_or("-".into(), |x| format!("{x:.1}x")));
-            rows.push(row);
-        }
-        Self::render(&rows)
-    }
-
-    /// Renders the aggregates as an aligned ASCII table **without** the
-    /// timing columns: every cell is a pure function of the fleet seed,
-    /// so — like [`FleetReport::digest`] — this rendering is
-    /// byte-identical across runs, thread counts, batch sizes *and*
-    /// process shardings of the same configuration. `replica-fleetd`
-    /// diffs it between merged and single-process runs.
-    pub fn table_deterministic(&self) -> String {
-        let mut rows = vec![vec![
-            "scenario".to_string(),
-            "solver".into(),
-            "solved".into(),
-            "fail".into(),
-            "power_mean".into(),
-            "power_p90".into(),
-            "cost_mean".into(),
-            "servers".into(),
-            "gap_vs_ref".into(),
-        ]];
-        for s in &self.summaries {
-            rows.push(Self::deterministic_cells(s));
-        }
-        Self::render(&rows)
-    }
-
-    /// The deterministic column cells of one summary row (shared by both
-    /// table renderings).
-    fn deterministic_cells(s: &FleetSummary) -> Vec<String> {
-        vec![
-            s.scenario.clone(),
-            s.solver.to_string(),
-            s.solved.to_string(),
-            (s.failed + s.unsupported).to_string(),
-            format!("{:.2}", s.power.mean),
-            format!("{:.2}", s.power.p90),
-            format!("{:.3}", s.cost.mean),
-            format!("{:.1}", s.mean_servers),
-            s.power_gap_vs_ref.map_or("-".into(), |g| format!("{g:.4}")),
-        ]
-    }
-
-    /// Column-aligned rendering with a rule under the header row.
-    fn render(rows: &[Vec<String>]) -> String {
-        let widths: Vec<usize> = (0..rows[0].len())
-            .map(|i| rows.iter().map(|r| r[i].len()).max().unwrap_or(0))
-            .collect();
-        let mut out = String::new();
-        for (ri, row) in rows.iter().enumerate() {
-            for (i, cell) in row.iter().enumerate() {
-                let _ = write!(out, "{:<width$}  ", cell, width = widths[i]);
-            }
-            out.push('\n');
-            if ri == 0 {
-                let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-                out.push_str(&"-".repeat(total));
-                out.push('\n');
-            }
-        }
-        out
+        crate::output::json(self, false)
     }
 }
 
@@ -861,6 +743,7 @@ impl FleetReport {
 mod tests {
     use super::*;
     use crate::jobspace::ScenarioSpace;
+    use crate::output::{render, OutputFormat};
     use crate::scenarios::{Demand, Scenario, Topology};
     use crate::spec::{CampaignSpec, DEFAULT_BATCH_JOBS};
 
@@ -970,7 +853,10 @@ mod tests {
             "threads × batch interplay digest identical"
         );
         assert!(base.contains("dp_power"));
-        assert!(base.starts_with("cells="));
+        assert!(
+            base.starts_with("{\"cell_count\":"),
+            "the json-det rendering: {base}"
+        );
     }
 
     #[test]
@@ -1009,7 +895,7 @@ mod tests {
         let report = Fleet::new(&registry, &campaign)
             .unwrap()
             .run(&tiny_jobs()[..], &Obs::noop());
-        let table = report.table();
+        let table = render(&report, OutputFormat::Table);
         assert!(table.contains("scenario"));
         assert!(table.lines().count() >= 2 + 2, "header + rule + 2 rows");
     }
@@ -1085,7 +971,10 @@ mod tests {
             );
             assert_eq!(merged.cell_count, whole.cell_count);
             assert_eq!(merged.cell_checksum, whole.cell_checksum);
-            assert_eq!(merged.table_deterministic(), whole.table_deterministic());
+            assert_eq!(
+                render(&merged, OutputFormat::TableDeterministic),
+                render(&whole, OutputFormat::TableDeterministic)
+            );
         }
     }
 
@@ -1150,7 +1039,7 @@ mod tests {
         let report = Fleet::new(&registry, &shard_campaign())
             .unwrap()
             .run(&tiny_jobs()[..], &Obs::noop());
-        let table = report.table_deterministic();
+        let table = render(&report, OutputFormat::TableDeterministic);
         assert!(table.contains("gap_vs_ref"));
         assert!(!table.contains("ms/solve"));
         assert!(!table.contains("speedup"));

@@ -48,8 +48,11 @@
 //!    self-contained form `fleetd` plans embed and the wire seam a
 //!    multi-host dispatcher will ship. Committed examples:
 //!    `examples/campaigns/` at the repository root. **[`output`]**
-//!    renders any [`fleet::FleetReport`] in the spec-addressable
-//!    formats (table / CSV / JSON, each with a deterministic variant).
+//!    holds the one report pipeline — rows of [`output::Field`]s, each
+//!    tagged timing or not, written by three renderers (text table,
+//!    CSV, JSON) — and renders any [`fleet::FleetReport`] and trace
+//!    analysis in the spec-addressable formats (table / CSV / JSON; the
+//!    `-det` variants are the same rows without the timing fields).
 //!
 //! **[`scenarios`]** supplies the fleets: named, reproducible instance
 //! families crossing five topology shapes (fat, high, binary,
@@ -95,7 +98,7 @@
 //! let fleet = Fleet::new(&registry, &campaign).unwrap();
 //! let report = fleet.run(&campaign.space(), &Obs::noop());
 //! assert_eq!(report.summaries.len(), 2);
-//! println!("{}", report.table());
+//! println!("{}", render(&report, OutputFormat::Table));
 //! ```
 
 #![warn(missing_docs)]

@@ -1,29 +1,34 @@
-//! Output renderings of a [`FleetReport`]: ASCII tables, CSV and JSON,
-//! each with a deterministic, timing-free variant suitable for
-//! byte-level diffing between runs (and, through `replica-fleetd`,
-//! between sharded and single-process executions).
+//! Every report this workspace prints — fleet aggregates, trace
+//! forensics, `fleetd status`, `placed` epochs and the `experiments`
+//! tables — is rows of [`Field`]s, written by three renderers:
+//! [`text_table`], [`csv_table`] and [`json_row`]. A field carries its
+//! column name (the table header, the CSV header and the JSON key), its
+//! JSON value, its table/CSV text, and a timing flag. The deterministic
+//! formats (`table-det`, `json-det`) render the same rows with every
+//! timing field dropped ([`OutputFormat::keeps_timing`]), so they are
+//! timing-free by construction and byte-diffable between runs (and,
+//! through `replica-fleetd`, between sharded and single-process
+//! executions).
 //!
 //! [`OutputFormat`] is also a field of the declarative campaign spec
 //! ([`crate::spec::CampaignSpec`]): a spec names its preferred rendering
 //! with the same labels the CLIs accept (`table`, `table-det`, `csv`,
 //! `json`, `json-det`), and serializes as that label.
 //!
-//! The same five labels render trace forensics too:
-//! [`render_analysis`] turns an [`Analysis`] (the digest `replica-obs`
-//! computes from a parsed JSONL trace — phase profiles, slowest solves,
-//! supervision timelines) into the matching report; the `-det` variants
-//! drop every wall-clock-derived number so CI can byte-diff forensic
-//! reports across runs.
+//! [`render`] renders a [`FleetReport`]; [`render_analysis`] renders an
+//! [`Analysis`] (the digest `replica-obs` computes from a parsed JSONL
+//! trace — phase profiles, slowest solves, supervision timelines) as
+//! the matching forensic report.
 
 use crate::fleet::{FleetReport, FleetSummary};
-use crate::obs::{Analysis, AttemptEvent, SchedOp, ShardTimeline, Stats};
+use crate::obs::{Analysis, SchedOp, ShardTimeline};
 use crate::spec::{did_you_mean, SpecError};
 use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// A rendering of a fleet report, addressable by CLI/spec label.
+/// A rendering of a report, addressable by CLI/spec label.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(try_from = "String", into = "String")]
 pub enum OutputFormat {
@@ -32,13 +37,12 @@ pub enum OutputFormat {
     Table,
     /// Aligned ASCII table, deterministic columns only (`table-det`).
     TableDeterministic,
-    /// CSV, one row per `(scenario, solver)` group, P² percentile
-    /// columns included; the timing columns come last (`csv`).
+    /// CSV, timing columns included (`csv`).
     Csv,
-    /// Compact JSON document of the full report (`json`).
+    /// Compact JSON, timing fields included (`json`).
     Json,
-    /// Compact JSON document without the timing fields — byte-diffable
-    /// across runs and shardings (`json-det`).
+    /// Compact JSON without the timing fields — byte-diffable across
+    /// runs and shardings (`json-det`).
     JsonDeterministic,
 }
 
@@ -75,6 +79,15 @@ impl OutputFormat {
                     .map(str::to_string),
             })
     }
+
+    /// Whether this format renders timing fields: `table`, `csv` and
+    /// `json` do, the `-det` formats do not. The one det rule.
+    pub fn keeps_timing(self) -> bool {
+        !matches!(
+            self,
+            OutputFormat::TableDeterministic | OutputFormat::JsonDeterministic
+        )
+    }
 }
 
 impl fmt::Display for OutputFormat {
@@ -97,15 +110,157 @@ impl TryFrom<String> for OutputFormat {
     }
 }
 
-/// Renders `report` in the requested format.
-pub fn render(report: &FleetReport, format: OutputFormat) -> String {
-    match format {
-        OutputFormat::Table => report.table(),
-        OutputFormat::TableDeterministic => report.table_deterministic(),
-        OutputFormat::Csv => csv(report),
-        OutputFormat::Json => json(report, true),
-        OutputFormat::JsonDeterministic => json(report, false),
+// ---------------------------------------------------------------------------
+// The document model: rows of fields, three renderers
+// ---------------------------------------------------------------------------
+
+/// One cell of a report row.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Field {
+    /// Column name: the table header, the CSV header and the JSON key.
+    pub name: &'static str,
+    /// The JSON value (floats keep every bit).
+    pub value: Value,
+    /// The table and CSV text.
+    pub text: String,
+    /// Wall-clock-derived, or otherwise free to differ between two runs
+    /// of the same input: the `-det` formats drop it.
+    pub timing: bool,
+}
+
+impl Field {
+    /// A deterministic field from its parts.
+    pub fn new(name: &'static str, value: Value, text: String) -> Field {
+        Field {
+            name,
+            value,
+            text,
+            timing: false,
+        }
     }
+
+    /// An integer field.
+    pub fn int<T: Serialize + fmt::Display>(name: &'static str, n: T) -> Field {
+        Field::new(name, n.serialize(), n.to_string())
+    }
+
+    /// A float field: every bit in JSON, `decimals` places as text.
+    pub fn num(name: &'static str, x: f64, decimals: usize) -> Field {
+        Field::new(name, Value::Float(x), format!("{x:.decimals$}"))
+    }
+
+    /// A string field.
+    pub fn str(name: &'static str, s: impl Into<String>) -> Field {
+        let s = s.into();
+        Field::new(name, Value::Str(s.clone()), s)
+    }
+
+    /// Tags the field as timing.
+    pub fn timing(mut self) -> Field {
+        self.timing = true;
+        self
+    }
+
+    /// Whether a format that does (`timing`) or does not keep timing
+    /// renders this field.
+    pub fn kept(&self, timing: bool) -> bool {
+        timing || !self.timing
+    }
+}
+
+/// An optional float: `null` in JSON and `none` as text when absent.
+fn opt_num(name: &'static str, x: Option<f64>, decimals: usize, none: &str) -> Field {
+    x.map_or_else(
+        || Field::new(name, Value::Null, none.to_string()),
+        |x| Field::num(name, x, decimals),
+    )
+}
+
+/// An optional integer: `null` in JSON and `-` as text when absent.
+fn opt_int<T: Serialize + fmt::Display>(name: &'static str, n: Option<T>) -> Field {
+    n.map_or_else(
+        || Field::new(name, Value::Null, "-".to_string()),
+        |n| Field::int(name, n),
+    )
+}
+
+/// A JSON-only field: a nested value no table or CSV shows.
+fn nested(name: &'static str, value: Value) -> Field {
+    Field::new(name, value, String::new())
+}
+
+/// An aligned text table: the kept fields' names, a dash rule, then one
+/// line per row. Each cell is left-aligned to the widest name or text
+/// of its column and followed by two spaces. Empty when there is no row
+/// or no kept column.
+pub fn text_table(rows: &[Vec<Field>], timing: bool) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let kept =
+        |row: &[Field]| -> Vec<usize> { (0..row.len()).filter(|&i| row[i].kept(timing)).collect() };
+    let columns = kept(first);
+    if columns.is_empty() {
+        return String::new();
+    }
+    let widths: Vec<usize> = columns
+        .iter()
+        .map(|&i| {
+            rows.iter()
+                .map(|r| r[i].text.len())
+                .fold(first[i].name.len(), usize::max)
+        })
+        .collect();
+    let line = |cells: Vec<&str>| text_line(cells.into_iter().zip(widths.iter().copied()));
+    let mut out = line(columns.iter().map(|&i| first[i].name).collect());
+    out.push('\n');
+    out.push_str(&"-".repeat(widths.iter().map(|w| w + 2).sum()));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&line(
+            columns.iter().map(|&i| row[i].text.as_str()).collect(),
+        ));
+        out.push('\n');
+    }
+    out
+}
+
+/// One line of a text table, without its line break: each `(cell,
+/// width)` left-aligned to its width and followed by two spaces.
+pub fn text_line<'a>(cells: impl IntoIterator<Item = (&'a str, usize)>) -> String {
+    let mut out = String::new();
+    for (cell, width) in cells {
+        let _ = write!(out, "{cell:<width$}  ");
+    }
+    out
+}
+
+/// CSV: the fields' names as the header record, then one record per
+/// row. CSV keeps every field, timing included; empty without rows.
+pub fn csv_table(rows: &[Vec<Field>]) -> String {
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let mut out = csv_record(first.iter().map(|f| f.name));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&csv_record(row.iter().map(|f| f.text.as_str())));
+        out.push('\n');
+    }
+    out
+}
+
+/// One CSV record, without its line break: every cell through
+/// [`csv_field`], comma-separated.
+pub fn csv_record<'a>(cells: impl IntoIterator<Item = &'a str>) -> String {
+    let mut out = String::new();
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&csv_field(cell));
+    }
+    out
 }
 
 /// One CSV field as RFC 4180 writes it: wrapped in `"` with every inner
@@ -120,123 +275,352 @@ pub fn csv_field(field: &str) -> Cow<'_, str> {
     }
 }
 
+/// One row as a JSON object of its kept fields, in row order; `null`
+/// when no field is kept (a row of timing fields in a `-det` rendering).
+pub fn json_row(row: Vec<Field>, timing: bool) -> Value {
+    let fields: Vec<(String, Value)> = row
+        .into_iter()
+        .filter(|f| f.kept(timing))
+        .map(|f| (f.name.to_string(), f.value))
+        .collect();
+    if fields.is_empty() {
+        Value::Null
+    } else {
+        Value::Object(fields)
+    }
+}
+
+/// Rows as a JSON array of [`json_row`] objects, leaving out the rows
+/// with no kept field.
+fn json_rows(rows: Vec<Vec<Field>>, timing: bool) -> Value {
+    Value::Array(
+        rows.into_iter()
+            .map(|row| json_row(row, timing))
+            .filter(|v| *v != Value::Null)
+            .collect(),
+    )
+}
+
+/// Compact JSON text of a value tree.
+fn json_text(value: &Value) -> String {
+    serde_json::to_string(value).expect("a value tree always serializes")
+}
+
+// ---------------------------------------------------------------------------
+// Fleet reports
+// ---------------------------------------------------------------------------
+
+/// Renders `report` in the requested format.
+pub fn render(report: &FleetReport, format: OutputFormat) -> String {
+    match format {
+        OutputFormat::Table | OutputFormat::TableDeterministic => {
+            let rows: Vec<Vec<Field>> = report.summaries.iter().map(table_row).collect();
+            text_table(&rows, format.keeps_timing())
+        }
+        OutputFormat::Csv => csv(report),
+        OutputFormat::Json | OutputFormat::JsonDeterministic => json(report, format.keeps_timing()),
+    }
+}
+
+/// One summary as a table row; the last three columns are timing.
+fn table_row(s: &FleetSummary) -> Vec<Field> {
+    let speedup = s.speedup_vs_ref.map_or("-".into(), |x| format!("{x:.1}x"));
+    vec![
+        Field::str("scenario", s.scenario.as_str()),
+        Field::str("solver", s.solver),
+        Field::int("solved", s.solved),
+        Field::int("fail", s.failed + s.unsupported),
+        Field::num("power_mean", s.power.mean, 2),
+        Field::num("power_p90", s.power.p90, 2),
+        Field::num("cost_mean", s.cost.mean, 3),
+        Field::num("servers", s.mean_servers, 1),
+        opt_num("gap_vs_ref", s.power_gap_vs_ref, 4, "-"),
+        Field::num("ms/solve", s.wall.mean * 1e3, 3).timing(),
+        Field::num("ms_p90", s.wall.p90 * 1e3, 3).timing(),
+        Field::new("speedup", s.speedup_vs_ref.serialize(), speedup).timing(),
+    ]
+}
+
 /// CSV rendering: every deterministic aggregate — including the P²
 /// p50/p90 percentile columns for power, cost and gap — then the
-/// non-deterministic timing columns last.
+/// timing columns last.
 pub fn csv(report: &FleetReport) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "scenario,solver,solved,failed,unsupported,\
-         power_mean,power_p50,power_p90,power_min,power_max,\
-         cost_mean,cost_p50,cost_p90,\
-         servers_mean,gap_mean,gap_p50,gap_p90,\
-         ms_per_solve,ms_p90,speedup_vs_ref\n",
-    );
-    for s in &report.summaries {
-        let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.6}"));
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.4},{},{},{},{:.4},{:.4},{}",
-            csv_field(&s.scenario),
-            s.solver,
-            s.solved,
-            s.failed,
-            s.unsupported,
-            s.power.mean,
-            s.power.p50,
-            s.power.p90,
-            s.power.min,
-            s.power.max,
-            s.cost.mean,
-            s.cost.p50,
-            s.cost.p90,
-            s.mean_servers,
-            opt(s.power_gap_vs_ref),
-            opt(s.gap_vs_ref.map(|g| g.p50)),
-            opt(s.gap_vs_ref.map(|g| g.p90)),
-            s.mean_wall_seconds * 1e3,
-            s.wall.p90 * 1e3,
-            opt(s.speedup_vs_ref),
-        );
-    }
-    out
-}
-
-/// Serializable mirror of one summary row.
-#[derive(Serialize)]
-struct SummaryDoc {
-    scenario: String,
-    solver: String,
-    solved: usize,
-    failed: usize,
-    unsupported: usize,
-    cost: Stats,
-    power: Stats,
-    mean_servers: f64,
-    power_gap_vs_ref: Option<f64>,
-    gap_vs_ref: Option<Stats>,
-    mean_wall_seconds: Option<f64>,
-    wall: Option<Stats>,
-    speedup_vs_ref: Option<f64>,
-    speedup_dist: Option<Stats>,
-}
-
-/// Serializable mirror of a report.
-#[derive(Serialize)]
-struct ReportDoc {
-    cell_count: usize,
-    cell_checksum: String,
-    summaries: Vec<SummaryDoc>,
+    let rows: Vec<Vec<Field>> = report
+        .summaries
+        .iter()
+        .map(|s| {
+            let gap = |name, x| opt_num(name, x, 6, "");
+            vec![
+                Field::str("scenario", s.scenario.as_str()),
+                Field::str("solver", s.solver),
+                Field::int("solved", s.solved),
+                Field::int("failed", s.failed),
+                Field::int("unsupported", s.unsupported),
+                Field::num("power_mean", s.power.mean, 6),
+                Field::num("power_p50", s.power.p50, 6),
+                Field::num("power_p90", s.power.p90, 6),
+                Field::num("power_min", s.power.min, 6),
+                Field::num("power_max", s.power.max, 6),
+                Field::num("cost_mean", s.cost.mean, 6),
+                Field::num("cost_p50", s.cost.p50, 6),
+                Field::num("cost_p90", s.cost.p90, 6),
+                Field::num("servers_mean", s.mean_servers, 4),
+                gap("gap_mean", s.power_gap_vs_ref),
+                gap("gap_p50", s.gap_vs_ref.map(|g| g.p50)),
+                gap("gap_p90", s.gap_vs_ref.map(|g| g.p90)),
+                Field::num("ms_per_solve", s.mean_wall_seconds * 1e3, 4).timing(),
+                Field::num("ms_p90", s.wall.p90 * 1e3, 4).timing(),
+                opt_num("speedup_vs_ref", s.speedup_vs_ref, 6, "").timing(),
+            ]
+        })
+        .collect();
+    csv_table(&rows)
 }
 
 /// Compact JSON; `timing = false` drops every wall-clock-derived field,
-/// making the document a pure function of the fleet seed.
+/// making the document a pure function of the fleet seed (it is the
+/// report's [`digest`](FleetReport::digest)).
 pub fn json(report: &FleetReport, timing: bool) -> String {
-    let doc = ReportDoc {
-        cell_count: report.cell_count,
-        cell_checksum: format!("{:016x}", report.cell_checksum),
-        summaries: report.summaries.iter().map(|s| doc_of(s, timing)).collect(),
-    };
-    serde_json::to_string(&doc).expect("report serialization cannot fail")
-}
-
-fn doc_of(s: &FleetSummary, timing: bool) -> SummaryDoc {
-    SummaryDoc {
-        scenario: s.scenario.clone(),
-        solver: s.solver.to_string(),
-        solved: s.solved,
-        failed: s.failed,
-        unsupported: s.unsupported,
-        cost: s.cost,
-        power: s.power,
-        mean_servers: s.mean_servers,
-        power_gap_vs_ref: s.power_gap_vs_ref,
-        gap_vs_ref: s.gap_vs_ref,
-        mean_wall_seconds: timing.then_some(s.mean_wall_seconds),
-        wall: timing.then_some(s.wall),
-        speedup_vs_ref: if timing { s.speedup_vs_ref } else { None },
-        speedup_dist: if timing { s.speedup_dist } else { None },
-    }
+    let summaries = report
+        .summaries
+        .iter()
+        .map(|s| {
+            vec![
+                Field::str("scenario", s.scenario.as_str()),
+                Field::str("solver", s.solver),
+                Field::int("solved", s.solved),
+                Field::int("failed", s.failed),
+                Field::int("unsupported", s.unsupported),
+                nested("cost", s.cost.serialize()),
+                nested("power", s.power.serialize()),
+                Field::num("mean_servers", s.mean_servers, 4),
+                nested("power_gap_vs_ref", s.power_gap_vs_ref.serialize()),
+                nested("gap_vs_ref", s.gap_vs_ref.serialize()),
+                Field::num("mean_wall_seconds", s.mean_wall_seconds, 6).timing(),
+                nested("wall", s.wall.serialize()).timing(),
+                nested("speedup_vs_ref", s.speedup_vs_ref.serialize()).timing(),
+                nested("speedup_dist", s.speedup_dist.serialize()).timing(),
+            ]
+        })
+        .collect();
+    let doc = vec![
+        Field::int("cell_count", report.cell_count),
+        Field::str("cell_checksum", format!("{:016x}", report.cell_checksum)),
+        nested("summaries", json_rows(summaries, timing)),
+    ];
+    json_text(&json_row(doc, timing))
 }
 
 // ---------------------------------------------------------------------------
-// Trace forensics rendering
+// Trace forensics
 // ---------------------------------------------------------------------------
 
-/// Renders a trace [`Analysis`] in the requested format. The `-det`
-/// variants omit every wall-clock-derived number (span durations,
-/// timestamps, backoff gates, throughput, slot occupancy) and put the
-/// supervision timeline into canonical `(attempt, op)` order, so two
-/// runs of the same deterministic fault schedule render byte-identical
-/// reports.
+/// One section of a forensic report: its table heading, its JSON key
+/// (also its CSV section label), and its rows.
+struct Section {
+    title: &'static str,
+    key: &'static str,
+    rows: Vec<Vec<Field>>,
+}
+
+/// Renders a trace [`Analysis`] in the requested format: a head of
+/// trace-wide counts, then seven sections — event kinds, phases, the
+/// slowest solves, per-shard supervision, counters, histograms and
+/// throughput. The `-det` variants drop every wall-clock-derived number
+/// (span durations, timestamps, backoff gates, throughput, slot
+/// occupancy) and put the supervision timeline into canonical
+/// `(attempt, op)` order, so two runs of the same deterministic fault
+/// schedule render byte-identical reports. The long-format CSV writes
+/// one `section,key,field,value` record per field, keyed by its row's
+/// first field.
 pub fn render_analysis(analysis: &Analysis, format: OutputFormat) -> String {
+    let timing = format.keeps_timing();
+    let sections = sections(analysis, timing);
     match format {
-        OutputFormat::Table => analysis_table(analysis, true),
-        OutputFormat::TableDeterministic => analysis_table(analysis, false),
-        OutputFormat::Csv => analysis_csv(analysis),
-        OutputFormat::Json => analysis_json(analysis, true),
-        OutputFormat::JsonDeterministic => analysis_json(analysis, false),
+        OutputFormat::Table | OutputFormat::TableDeterministic => {
+            analysis_table(analysis, sections, timing)
+        }
+        OutputFormat::Csv => {
+            let mut out = String::from("section,key,field,value\n");
+            let mut record = |cells: [&str; 4]| {
+                out.push_str(&csv_record(cells));
+                out.push('\n');
+            };
+            for field in head(analysis) {
+                record(["trace", "", field.name, &field.text]);
+            }
+            for section in &sections {
+                for (key, rest) in section.rows.iter().filter_map(|row| row.split_first()) {
+                    for field in rest {
+                        record([section.key, &key.text, field.name, &field.text]);
+                    }
+                }
+            }
+            out
+        }
+        OutputFormat::Json | OutputFormat::JsonDeterministic => {
+            analysis_json(analysis, sections, timing)
+        }
     }
+}
+
+/// The trace-wide counts.
+fn head(analysis: &Analysis) -> [Field; 4] {
+    let malformed = analysis.malformed.iter().map(|e| Value::Str(e.clone()));
+    [
+        Field::int("parsed_lines", analysis.parsed_lines),
+        Field::new(
+            "malformed",
+            Value::Array(malformed.collect()),
+            analysis.malformed.len().to_string(),
+        ),
+        Field::int("unmatched_spans", analysis.unmatched_spans),
+        Field::int("batches", analysis.batches.len()),
+    ]
+}
+
+/// The forensic report's sections, in report order. `timing` orders
+/// each supervision timeline: trace order with timing, canonical
+/// `(attempt, op)` order without, so wall-clock interleaving across
+/// shards cannot leak into a deterministic report.
+fn sections(analysis: &Analysis, timing: bool) -> [Section; 7] {
+    let section = |title, key, rows| Section { title, key, rows };
+    [
+        section(
+            "events",
+            "events",
+            analysis
+                .kind_counts
+                .iter()
+                .map(|(kind, n)| vec![Field::str("kind", kind.as_str()), Field::int("count", n)])
+                .collect(),
+        ),
+        section(
+            "phase profile",
+            "phases",
+            analysis
+                .phases
+                .iter()
+                .map(|p| {
+                    vec![
+                        Field::str("name", p.name.as_str()),
+                        Field::int("count", p.count),
+                        Field::int("open", p.open),
+                        Field::int("total_micros", p.total_micros).timing(),
+                        Field::int("self_micros", p.self_micros).timing(),
+                    ]
+                })
+                .collect(),
+        ),
+        section(
+            "slowest solves",
+            "slowest_solves",
+            analysis
+                .slowest
+                .iter()
+                .map(|s| {
+                    vec![
+                        Field::str("label", s.label.as_str()).timing(),
+                        Field::int("micros", s.micros).timing(),
+                        opt_int("shard", s.provenance.map(|(shard, _)| shard)).timing(),
+                        opt_int("attempt", s.provenance.map(|(_, attempt)| attempt)).timing(),
+                    ]
+                })
+                .collect(),
+        ),
+        section(
+            "supervision",
+            "shards",
+            analysis
+                .sched
+                .shards
+                .iter()
+                .map(|shard| shard_row(shard, timing))
+                .collect(),
+        ),
+        section(
+            "counters",
+            "counters",
+            analysis
+                .counters
+                .iter()
+                .map(|(name, value)| {
+                    vec![
+                        Field::str("name", name.as_str()),
+                        Field::int("value", value),
+                    ]
+                })
+                .collect(),
+        ),
+        section(
+            "histograms",
+            "histograms",
+            analysis
+                .histograms
+                .iter()
+                .map(|h| {
+                    vec![
+                        Field::str("name", h.name.as_str()),
+                        Field::str("unit", h.unit.as_str()),
+                        Field::int("count", h.stats.count),
+                        Field::num("mean", h.stats.mean, 3).timing(),
+                        Field::num("p50", h.stats.p50, 3).timing(),
+                        Field::num("p90", h.stats.p90, 3).timing(),
+                        Field::num("p99", h.stats.p99, 3).timing(),
+                    ]
+                })
+                .collect(),
+        ),
+        section(
+            "throughput",
+            "throughput",
+            analysis
+                .throughput
+                .iter()
+                .map(|p| {
+                    vec![
+                        Field::int("done", p.done).timing(),
+                        Field::int("total", p.total).timing(),
+                        Field::num("jobs_per_sec", p.jobs_per_sec, 3).timing(),
+                    ]
+                })
+                .collect(),
+        ),
+    ]
+}
+
+/// One shard's supervision row. Its timeline is an array of attempt
+/// events in JSON and their `a{attempt} {op}` entries, comma-joined, as
+/// text.
+fn shard_row(shard: &ShardTimeline, timing: bool) -> Vec<Field> {
+    let mut events: Vec<_> = shard.events.iter().collect();
+    if !timing {
+        events.sort_by_key(|e| (e.attempt, op_rank(e.op)));
+    }
+    let mut text = Vec::with_capacity(events.len());
+    let mut timeline = Vec::with_capacity(events.len());
+    for e in events {
+        text.push(match e.not_before_ms.filter(|_| timing) {
+            Some(gate) => format!("a{} {}(not before {gate}ms)", e.attempt, e.op),
+            None => format!("a{} {}", e.attempt, e.op),
+        });
+        timeline.push(vec![
+            Field::int("attempt", e.attempt),
+            Field::str("op", e.op.to_string()),
+            opt_int("not_before_ms", e.not_before_ms).timing(),
+            opt_int("ts_ms", e.ts_ms).timing(),
+        ]);
+    }
+    vec![
+        Field::int("shard", shard.shard),
+        Field::int("launches", shard.launches),
+        Field::int("retries", shard.retries),
+        Field::int("steals", shard.steals),
+        Field::int("stale_kills", shard.stale_kills),
+        Field::int("fence_rejects", shard.fence_rejects),
+        Field::str("outcome", outcome_label(shard.outcome)),
+        Field::new("timeline", json_rows(timeline, timing), text.join(", ")),
+    ]
 }
 
 /// The rank of `op` in [`SchedOp::ALL`] — the canonical within-attempt
@@ -248,27 +632,6 @@ fn op_rank(op: SchedOp) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// A shard's events for rendering: trace order with timing, canonical
-/// `(attempt, op)` order without (wall-clock interleaving across shards
-/// must not leak into a deterministic report).
-fn timeline_events(shard: &ShardTimeline, timing: bool) -> Vec<AttemptEvent> {
-    let mut events = shard.events.clone();
-    if !timing {
-        events.sort_by_key(|e| (e.attempt, op_rank(e.op)));
-    }
-    events
-}
-
-fn timeline_entry(event: &AttemptEvent, timing: bool) -> String {
-    let mut entry = format!("a{} {}", event.attempt, event.op);
-    if timing {
-        if let Some(gate) = event.not_before_ms {
-            let _ = write!(entry, "(not before {gate}ms)");
-        }
-    }
-    entry
-}
-
 fn outcome_label(outcome: Option<SchedOp>) -> &'static str {
     match outcome {
         Some(SchedOp::Done) => "done",
@@ -277,448 +640,91 @@ fn outcome_label(outcome: Option<SchedOp>) -> &'static str {
     }
 }
 
-fn analysis_table(analysis: &Analysis, timing: bool) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "trace      {} lines parsed, {} malformed, {} unmatched span(s)",
+/// The text report: summary lines — trace counts, event kinds as
+/// `kind=n`, slot occupancy (timing only) and the malformed lines —
+/// then every other section with rows under its heading.
+fn analysis_table(analysis: &Analysis, sections: [Section; 7], timing: bool) -> String {
+    let [events, rest @ ..] = sections;
+    let kinds: Vec<String> = events
+        .rows
+        .iter()
+        .map(|row| format!("{}={}", row[0].text, row[1].text))
+        .collect();
+    let mut out = format!(
+        "trace      {} lines parsed, {} malformed, {} unmatched span(s)\nevents     {}\n",
         analysis.parsed_lines,
         analysis.malformed.len(),
-        analysis.unmatched_spans
+        analysis.unmatched_spans,
+        kinds.join(" ")
     );
-    let kinds: Vec<String> = analysis
-        .kind_counts
-        .iter()
-        .map(|(kind, n)| format!("{kind}={n}"))
-        .collect();
-    let _ = writeln!(out, "events     {}", kinds.join(" "));
+    if let Some(util) = analysis.sched.utilization.as_ref().filter(|_| timing) {
+        let _ = writeln!(
+            out,
+            "slots      peak {}, avg {:.2}, busy {} ms over {} ms",
+            util.max_concurrent, util.avg_concurrent, util.busy_ms, util.window_ms
+        );
+    }
     for error in &analysis.malformed {
         let _ = writeln!(out, "  ! {error}");
     }
-
-    if !analysis.phases.is_empty() {
-        out.push_str("\nphase profile\n");
-        if timing {
-            let _ = writeln!(
-                out,
-                "  {:<14} {:>7} {:>6} {:>12} {:>12}",
-                "phase", "count", "open", "total_ms", "self_ms"
-            );
-            let mut phases: Vec<_> = analysis.phases.iter().collect();
-            phases.sort_by(|a, b| {
-                b.total_micros
-                    .cmp(&a.total_micros)
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-            for p in phases {
-                let _ = writeln!(
-                    out,
-                    "  {:<14} {:>7} {:>6} {:>12.3} {:>12.3}",
-                    p.name,
-                    p.count,
-                    p.open,
-                    p.total_micros as f64 / 1e3,
-                    p.self_micros as f64 / 1e3
-                );
-            }
-        } else {
-            let _ = writeln!(out, "  {:<14} {:>7} {:>6}", "phase", "count", "open");
-            for p in &analysis.phases {
-                let _ = writeln!(out, "  {:<14} {:>7} {:>6}", p.name, p.count, p.open);
-            }
+    for section in rest {
+        let table = text_table(&section.rows, timing);
+        if !table.is_empty() {
+            let _ = write!(out, "\n{}\n{table}", section.title);
         }
-    }
-
-    if timing && !analysis.slowest.is_empty() {
-        out.push_str("\nslowest solves\n");
-        let _ = writeln!(out, "  {:>4} {:>12} {:<8} label", "rank", "ms", "where");
-        for (i, solve) in analysis.slowest.iter().enumerate() {
-            let place = solve
-                .provenance
-                .map_or("-".to_string(), |(s, a)| format!("{s}/a{a}"));
-            let _ = writeln!(
-                out,
-                "  {:>4} {:>12.3} {:<8} {}",
-                i + 1,
-                solve.micros as f64 / 1e3,
-                place,
-                solve.label
-            );
-        }
-    }
-
-    if !analysis.sched.is_empty() {
-        out.push_str("\nsupervision\n");
-        let _ = writeln!(
-            out,
-            "  {:>5} {:>8} {:>7} {:>6} {:>11} {:>6}  outcome",
-            "shard", "launches", "retries", "steals", "stale-kills", "fenced"
-        );
-        for shard in &analysis.sched.shards {
-            let _ = writeln!(
-                out,
-                "  {:>5} {:>8} {:>7} {:>6} {:>11} {:>6}  {}",
-                shard.shard,
-                shard.launches,
-                shard.retries,
-                shard.steals,
-                shard.stale_kills,
-                shard.fence_rejects,
-                outcome_label(shard.outcome)
-            );
-        }
-        out.push_str("  timeline\n");
-        for shard in &analysis.sched.shards {
-            let entries: Vec<String> = timeline_events(shard, timing)
-                .iter()
-                .map(|e| timeline_entry(e, timing))
-                .collect();
-            let _ = writeln!(out, "    shard {}: {}", shard.shard, entries.join(", "));
-        }
-        if timing {
-            if let Some(util) = &analysis.sched.utilization {
-                let _ = writeln!(
-                    out,
-                    "  slots      peak {}, avg {:.2}, busy {} ms over {} ms",
-                    util.max_concurrent, util.avg_concurrent, util.busy_ms, util.window_ms
-                );
-            }
-        }
-    }
-
-    if !analysis.counters.is_empty() {
-        out.push_str("\ncounters\n");
-        for (name, value) in &analysis.counters {
-            let _ = writeln!(out, "  {name:<24} {value}");
-        }
-    }
-
-    if !analysis.histograms.is_empty() {
-        out.push_str("\nhistograms\n");
-        if timing {
-            let _ = writeln!(
-                out,
-                "  {:<40} {:>5} {:>7} {:>10} {:>10} {:>10} {:>10}",
-                "name", "unit", "count", "mean", "p50", "p90", "p99"
-            );
-            for h in &analysis.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {:<40} {:>5} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-                    h.name,
-                    h.unit,
-                    h.stats.count,
-                    h.stats.mean,
-                    h.stats.p50,
-                    h.stats.p90,
-                    h.stats.p99
-                );
-            }
-        } else {
-            let _ = writeln!(out, "  {:<40} {:>5} {:>7}", "name", "unit", "count");
-            for h in &analysis.histograms {
-                let _ = writeln!(out, "  {:<40} {:>5} {:>7}", h.name, h.unit, h.stats.count);
-            }
-        }
-    }
-
-    if timing && !analysis.throughput.is_empty() {
-        let last = &analysis.throughput[analysis.throughput.len() - 1];
-        let peak = analysis
-            .throughput
-            .iter()
-            .map(|p| p.jobs_per_sec)
-            .fold(0.0_f64, f64::max);
-        let _ = writeln!(
-            out,
-            "\nthroughput {} points, last {}/{} jobs, peak {:.1} jobs/s",
-            analysis.throughput.len(),
-            last.done,
-            last.total,
-            peak
-        );
     }
     out
 }
 
-/// Long-format CSV: `section,key,field,value` rows covering every
-/// section of the forensic report (timing fields included — CSV has no
-/// `-det` variant, matching the fleet-report convention that timing
-/// columns are part of `csv`).
-fn analysis_csv(analysis: &Analysis) -> String {
-    let mut out = String::from("section,key,field,value\n");
-    let mut row = |section: &str, key: &str, field: &str, value: String| {
-        out.push_str(&format!(
-            "{},{},{},{}\n",
-            csv_field(section),
-            csv_field(key),
-            csv_field(field),
-            csv_field(&value)
-        ));
+/// The JSON report, in the key layout CI's jq checks read:
+/// `parsed_lines`, `malformed`, `events` and `counters` (objects),
+/// `sched.{ops, shards, utilization}`.
+fn analysis_json(analysis: &Analysis, sections: [Section; 7], timing: bool) -> String {
+    let [parsed_lines, malformed, unmatched_spans, batches] = head(analysis);
+    let [events, phases, slowest, shards, counters, histograms, throughput] = sections;
+    let array = |s: Section| nested(s.key, json_rows(s.rows, timing));
+    // A two-column section as one object: first field's text → second
+    // field's value.
+    let keyed = |s: Section| {
+        let entries = s.rows.into_iter().filter_map(|row| {
+            let mut cells = row.into_iter();
+            Some((cells.next()?.text, cells.next()?.value))
+        });
+        nested(s.key, Value::Object(entries.collect()))
     };
-    row(
-        "trace",
-        "lines",
-        "parsed",
-        analysis.parsed_lines.to_string(),
-    );
-    row(
-        "trace",
-        "lines",
-        "malformed",
-        analysis.malformed.len().to_string(),
-    );
-    row(
-        "trace",
-        "spans",
-        "unmatched",
-        analysis.unmatched_spans.to_string(),
-    );
-    for (kind, n) in &analysis.kind_counts {
-        row("events", kind, "count", n.to_string());
-    }
-    for p in &analysis.phases {
-        row("phase", &p.name, "count", p.count.to_string());
-        row("phase", &p.name, "open", p.open.to_string());
-        row("phase", &p.name, "total_micros", p.total_micros.to_string());
-        row("phase", &p.name, "self_micros", p.self_micros.to_string());
-    }
-    for (i, solve) in analysis.slowest.iter().enumerate() {
-        let key = (i + 1).to_string();
-        row("slowest", &key, "label", solve.label.clone());
-        row("slowest", &key, "micros", solve.micros.to_string());
-    }
-    for (name, value) in &analysis.counters {
-        row("counter", name, "value", value.to_string());
-    }
-    for shard in &analysis.sched.shards {
-        let key = shard.shard.to_string();
-        row("shard", &key, "launches", shard.launches.to_string());
-        row("shard", &key, "retries", shard.retries.to_string());
-        row("shard", &key, "steals", shard.steals.to_string());
-        row("shard", &key, "stale_kills", shard.stale_kills.to_string());
-        row(
-            "shard",
-            &key,
-            "fence_rejects",
-            shard.fence_rejects.to_string(),
-        );
-        row(
-            "shard",
-            &key,
-            "outcome",
-            outcome_label(shard.outcome).to_string(),
-        );
-        for (i, event) in shard.events.iter().enumerate() {
-            row(
-                "timeline",
-                &key,
-                &i.to_string(),
-                timeline_entry(event, true),
-            );
-        }
-    }
-    for p in &analysis.throughput {
-        row(
-            "throughput",
-            &p.done.to_string(),
-            "jobs_per_sec",
-            format!("{:.3}", p.jobs_per_sec),
-        );
-    }
-    out
-}
-
-fn analysis_json(analysis: &Analysis, timing: bool) -> String {
-    let object = |fields: Vec<(&str, Value)>| {
-        Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
-    let int = |n: usize| Value::Int(n as i128);
-    let opt_u64 = |v: Option<u64>| v.map_or(Value::Null, |n| Value::Int(n as i128));
-    let phases = analysis
-        .phases
-        .iter()
-        .map(|p| {
-            object(vec![
-                ("name", Value::Str(p.name.clone())),
-                ("count", int(p.count)),
-                ("open", int(p.open)),
-                (
-                    "total_micros",
-                    if timing {
-                        Value::Int(p.total_micros as i128)
-                    } else {
-                        Value::Null
-                    },
-                ),
-                (
-                    "self_micros",
-                    if timing {
-                        Value::Int(p.self_micros as i128)
-                    } else {
-                        Value::Null
-                    },
-                ),
-            ])
-        })
-        .collect();
-    // Ranked-by-duration sections are wall-clock-derived through and
-    // through; the det document keeps the keys but empties them.
-    let slowest = if timing {
-        analysis
-            .slowest
-            .iter()
-            .map(|s| {
-                object(vec![
-                    ("label", Value::Str(s.label.clone())),
-                    ("micros", Value::Int(s.micros as i128)),
-                    ("shard", opt_u64(s.provenance.map(|(sh, _)| sh as u64))),
-                    ("attempt", opt_u64(s.provenance.map(|(_, a)| a as u64))),
-                ])
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let throughput = if timing {
-        analysis
-            .throughput
-            .iter()
-            .map(|p| {
-                object(vec![
-                    ("done", int(p.done)),
-                    ("total", int(p.total)),
-                    ("jobs_per_sec", Value::Float(p.jobs_per_sec)),
-                ])
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let histograms = analysis
-        .histograms
-        .iter()
-        .map(|h| {
-            let mut fields = vec![
-                ("name", Value::Str(h.name.clone())),
-                ("unit", Value::Str(h.unit.clone())),
-                ("count", int(h.stats.count)),
-            ];
-            if timing {
-                fields.push(("mean", Value::Float(h.stats.mean)));
-                fields.push(("p50", Value::Float(h.stats.p50)));
-                fields.push(("p90", Value::Float(h.stats.p90)));
-                fields.push(("p99", Value::Float(h.stats.p99)));
-            }
-            object(fields)
-        })
-        .collect();
-    let shards = analysis
+    let ops = analysis
         .sched
-        .shards
+        .op_totals
         .iter()
-        .map(|shard| {
-            let timeline = timeline_events(shard, timing)
-                .iter()
-                .map(|e| {
-                    let mut fields = vec![
-                        ("attempt", int(e.attempt)),
-                        ("op", Value::Str(e.op.to_string())),
-                    ];
-                    if timing {
-                        fields.push(("not_before_ms", opt_u64(e.not_before_ms)));
-                        fields.push(("ts_ms", opt_u64(e.ts_ms)));
-                    }
-                    object(fields)
-                })
-                .collect();
-            object(vec![
-                ("shard", int(shard.shard)),
-                ("launches", int(shard.launches)),
-                ("retries", int(shard.retries)),
-                ("steals", int(shard.steals)),
-                ("stale_kills", int(shard.stale_kills)),
-                ("fence_rejects", int(shard.fence_rejects)),
-                (
-                    "outcome",
-                    Value::Str(outcome_label(shard.outcome).to_string()),
-                ),
-                ("timeline", Value::Array(timeline)),
-            ])
-        })
-        .collect();
-    let utilization = match (&analysis.sched.utilization, timing) {
-        (Some(util), true) => object(vec![
-            ("max_concurrent", int(util.max_concurrent)),
-            ("avg_concurrent", Value::Float(util.avg_concurrent)),
-            ("busy_ms", Value::Int(util.busy_ms as i128)),
-            ("window_ms", Value::Int(util.window_ms as i128)),
-        ]),
-        _ => Value::Null,
-    };
-    let doc = object(vec![
-        ("parsed_lines", int(analysis.parsed_lines)),
-        (
-            "malformed",
-            Value::Array(
-                analysis
-                    .malformed
-                    .iter()
-                    .map(|e| Value::Str(e.clone()))
-                    .collect(),
-            ),
-        ),
-        (
-            "events",
-            Value::Object(
-                analysis
-                    .kind_counts
-                    .iter()
-                    .map(|(kind, n)| (kind.clone(), int(*n)))
-                    .collect(),
-            ),
-        ),
-        ("unmatched_spans", int(analysis.unmatched_spans)),
-        ("phases", Value::Array(phases)),
-        ("slowest_solves", Value::Array(slowest)),
-        ("batches", int(analysis.batches.len())),
-        ("throughput", Value::Array(throughput)),
-        (
-            "counters",
-            Value::Object(
-                analysis
-                    .counters
-                    .iter()
-                    .map(|(name, value)| (name.clone(), Value::Int(*value as i128)))
-                    .collect(),
-            ),
-        ),
-        ("histograms", Value::Array(histograms)),
-        (
-            "sched",
-            object(vec![
-                (
-                    "ops",
-                    Value::Object(
-                        analysis
-                            .sched
-                            .op_totals
-                            .iter()
-                            .map(|(op, n)| (op.to_string(), int(*n)))
-                            .collect(),
-                    ),
-                ),
-                ("shards", Value::Array(shards)),
-                ("utilization", utilization),
-            ]),
-        ),
-    ]);
-    serde_json::to_string(&doc).expect("analysis serialization cannot fail")
+        .map(|(op, n)| (op.to_string(), n.serialize()));
+    let utilization = analysis.sched.utilization.as_ref().map(|u| {
+        let row = vec![
+            Field::int("max_concurrent", u.max_concurrent).timing(),
+            Field::num("avg_concurrent", u.avg_concurrent, 2).timing(),
+            Field::int("busy_ms", u.busy_ms).timing(),
+            Field::int("window_ms", u.window_ms).timing(),
+        ];
+        json_row(row, timing)
+    });
+    let sched = vec![
+        nested("ops", Value::Object(ops.collect())),
+        array(shards),
+        nested("utilization", utilization.unwrap_or(Value::Null)),
+    ];
+    let doc = vec![
+        parsed_lines,
+        malformed,
+        keyed(events),
+        unmatched_spans,
+        array(phases),
+        array(slowest),
+        batches,
+        array(throughput),
+        keyed(counters),
+        array(histograms),
+        nested("sched", json_row(sched, timing)),
+    ];
+    json_text(&json_row(doc, timing))
 }
 
 #[cfg(test)]
@@ -786,7 +792,10 @@ mod tests {
         let report = report();
         let det = render(&report, OutputFormat::JsonDeterministic);
         assert!(!det.contains("mean_wall_seconds\":0."), "no wall values");
-        assert!(det.contains("\"mean_wall_seconds\":null"));
+        assert!(
+            !det.contains("\"mean_wall_seconds\""),
+            "timing keys are left out"
+        );
         let full = render(&report, OutputFormat::Json);
         assert!(full.contains("\"mean_wall_seconds\":"));
     }
@@ -917,5 +926,285 @@ mod tests {
             det_json,
             render_analysis(&forensic_analysis(), OutputFormat::JsonDeterministic)
         );
+    }
+
+    /// The trailing alignment spaces of every line dropped (the literals
+    /// below would be fragile with invisible whitespace).
+    fn trimmed(text: &str) -> String {
+        text.lines()
+            .map(|l| l.trim_end().to_string() + "\n")
+            .collect()
+    }
+
+    fn parse(text: &str) -> Value {
+        serde_json::from_str(text).unwrap()
+    }
+
+    /// `value` with the key at the end of `path` removed wherever the
+    /// path reaches (`*` steps into every array element). An object the
+    /// removal leaves empty becomes `null`, and an array on the path
+    /// drops it — as a `-det` rendering leaves out a row of timing
+    /// fields only.
+    fn without(value: Value, path: &[&str]) -> Value {
+        match (value, path) {
+            (Value::Array(items), ["*", rest @ ..]) => Value::Array(
+                items
+                    .into_iter()
+                    .map(|item| without(item, rest))
+                    .filter(|item| *item != Value::Null)
+                    .collect(),
+            ),
+            (Value::Object(fields), [key, rest @ ..]) => {
+                let fields: Vec<(String, Value)> = fields
+                    .into_iter()
+                    .filter_map(|(k, v)| match (k == *key, rest.is_empty()) {
+                        (false, _) => Some((k, v)),
+                        (true, true) => None,
+                        (true, false) => Some((k, without(v, rest))),
+                    })
+                    .collect();
+                if fields.is_empty() {
+                    Value::Null
+                } else {
+                    Value::Object(fields)
+                }
+            }
+            (value, _) => value,
+        }
+    }
+
+    /// Every table header of a text rendering — the line above each dash
+    /// rule — with the section heading above it (if any).
+    fn headers(text: &str) -> Vec<(&str, Vec<&str>)> {
+        let lines: Vec<&str> = text.lines().collect();
+        (1..lines.len())
+            .filter(|&i| lines[i].starts_with('-') && lines[i].chars().all(|c| c == '-'))
+            .map(|i| {
+                let title = if i >= 2 { lines[i - 2] } else { "" };
+                (title, lines[i - 1].split_whitespace().collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fleet_renderings_are_pinned() {
+        let report = report();
+        assert_eq!(
+            trimmed(&render(&report, OutputFormat::TableDeterministic)),
+            "scenario          solver        solved  fail  power_mean  power_p90  cost_mean  servers  gap_vs_ref\n\
+-----------------------------------------------------------------------------------------------------\n\
+high/uniform/12n  dp_power      2       0     1512.50     1650.00    12.056     11.0     1.0000\n\
+high/uniform/12n  greedy_power  2       0     1512.50     1650.00    12.056     11.0     1.0000\n\
+star/skewed/12n   dp_power      2       0     1400.00     1837.50    7.601      7.0      1.0000\n\
+star/skewed/12n   greedy_power  2       0     1631.25     2300.00    6.006      5.5      1.1259\n\
+"
+        );
+        assert_eq!(
+            render(&report, OutputFormat::JsonDeterministic),
+            "{\"cell_count\":8,\"cell_checksum\":\"ebf00b386a6c36d2\",\
+         \"summaries\":[{\"scenario\":\"high/uniform/12n\",\"solver\":\"dp_power\",\"solved\":2,\
+         \"failed\":0,\"unsupported\":0,\"cost\":{\"count\":2,\"mean\":12.0555,\"min\":11.01,\
+         \"max\":13.101,\"p50\":13.101,\"p90\":13.101,\"p99\":13.101},\"power\":{\"count\":2,\
+         \"mean\":1512.5,\"min\":1375.0,\"max\":1650.0,\"p50\":1650.0,\"p90\":1650.0,\
+         \"p99\":1650.0},\"mean_servers\":11.0,\"power_gap_vs_ref\":1.0,\
+         \"gap_vs_ref\":{\"count\":2,\"mean\":1.0,\"min\":1.0,\"max\":1.0,\"p50\":1.0,\
+         \"p90\":1.0,\"p99\":1.0}},{\"scenario\":\"high/uniform/12n\",\
+         \"solver\":\"greedy_power\",\"solved\":2,\"failed\":0,\"unsupported\":0,\
+         \"cost\":{\"count\":2,\"mean\":12.0555,\"min\":11.01,\"max\":13.101,\"p50\":13.101,\
+         \"p90\":13.101,\"p99\":13.101},\"power\":{\"count\":2,\"mean\":1512.5,\"min\":1375.0,\
+         \"max\":1650.0,\"p50\":1650.0,\"p90\":1650.0,\"p99\":1650.0},\"mean_servers\":11.0,\
+         \"power_gap_vs_ref\":1.0,\"gap_vs_ref\":{\"count\":2,\"mean\":1.0,\"min\":1.0,\
+         \"max\":1.0,\"p50\":1.0,\"p90\":1.0,\"p99\":1.0}},{\"scenario\":\"star/skewed/12n\",\
+         \"solver\":\"dp_power\",\"solved\":2,\"failed\":0,\"unsupported\":0,\
+         \"cost\":{\"count\":2,\"mean\":7.601,\"min\":7.600999999999999,\
+         \"max\":7.601000000000001,\"p50\":7.601000000000001,\"p90\":7.601000000000001,\
+         \"p99\":7.601000000000001},\"power\":{\"count\":2,\"mean\":1400.0,\"min\":962.5,\
+         \"max\":1837.5,\"p50\":1837.5,\"p90\":1837.5,\"p99\":1837.5},\"mean_servers\":7.0,\
+         \"power_gap_vs_ref\":1.0,\"gap_vs_ref\":{\"count\":2,\"mean\":1.0,\"min\":1.0,\
+         \"max\":1.0,\"p50\":1.0,\"p90\":1.0,\"p99\":1.0}},{\"scenario\":\"star/skewed/12n\",\
+         \"solver\":\"greedy_power\",\"solved\":2,\"failed\":0,\"unsupported\":0,\
+         \"cost\":{\"count\":2,\"mean\":6.0055000000000005,\"min\":4.41,\
+         \"max\":7.601000000000001,\"p50\":7.601000000000001,\"p90\":7.601000000000001,\
+         \"p99\":7.601000000000001},\"power\":{\"count\":2,\"mean\":1631.25,\"min\":962.5,\
+         \"max\":2300.0,\"p50\":2300.0,\"p90\":2300.0,\"p99\":2300.0},\"mean_servers\":5.5,\
+         \"power_gap_vs_ref\":1.1258503401360545,\"gap_vs_ref\":{\"count\":2,\
+         \"mean\":1.1258503401360545,\"min\":1.0,\"max\":1.251700680272109,\
+         \"p50\":1.251700680272109,\"p90\":1.251700680272109,\"p99\":1.251700680272109}}]}"
+        );
+        // Columns 1–17 of the CSV; the last three are wall-clock timing.
+        let csv = render(&report, OutputFormat::Csv);
+        let deterministic: String = csv
+            .lines()
+            .map(|line| line.split(',').take(17).collect::<Vec<_>>().join(",") + "\n")
+            .collect();
+        assert_eq!(
+            deterministic,
+            "scenario,solver,solved,failed,unsupported,power_mean,power_p50,power_p90,power_min,power_max,cost_mean,cost_p50,cost_p90,servers_mean,gap_mean,gap_p50,gap_p90\n\
+high/uniform/12n,dp_power,2,0,0,1512.500000,1650.000000,1650.000000,1375.000000,1650.000000,12.055500,13.101000,13.101000,11.0000,1.000000,1.000000,1.000000\n\
+high/uniform/12n,greedy_power,2,0,0,1512.500000,1650.000000,1650.000000,1375.000000,1650.000000,12.055500,13.101000,13.101000,11.0000,1.000000,1.000000,1.000000\n\
+star/skewed/12n,dp_power,2,0,0,1400.000000,1837.500000,1837.500000,962.500000,1837.500000,7.601000,7.601000,7.601000,7.0000,1.000000,1.000000,1.000000\n\
+star/skewed/12n,greedy_power,2,0,0,1631.250000,2300.000000,2300.000000,962.500000,2300.000000,6.005500,7.601000,7.601000,5.5000,1.125850,1.251701,1.251701\n\
+"
+        );
+        assert!(csv.starts_with(
+            "scenario,solver,solved,failed,unsupported,power_mean,power_p50,\
+             power_p90,power_min,power_max,cost_mean,cost_p50,cost_p90,servers_mean,gap_mean,\
+             gap_p50,gap_p90,ms_per_solve,ms_p90,speedup_vs_ref\n"
+        ));
+    }
+
+    #[test]
+    fn fleet_det_renderings_are_the_full_ones_without_timing_fields() {
+        let report = report();
+        let timing = [
+            "mean_wall_seconds",
+            "wall",
+            "speedup_vs_ref",
+            "speedup_dist",
+        ];
+        let stripped = timing
+            .iter()
+            .fold(parse(&render(&report, OutputFormat::Json)), |v, key| {
+                without(v, &["summaries", "*", key])
+            });
+        assert_eq!(
+            stripped,
+            parse(&render(&report, OutputFormat::JsonDeterministic))
+        );
+        let table = render(&report, OutputFormat::Table);
+        let mut header = headers(&table).remove(0).1;
+        header.retain(|c| !["ms/solve", "ms_p90", "speedup"].contains(c));
+        let det = render(&report, OutputFormat::TableDeterministic);
+        assert_eq!(header, headers(&det).remove(0).1);
+    }
+
+    #[test]
+    fn analysis_renderings_are_pinned() {
+        let analysis = forensic_analysis();
+        assert_eq!(
+            trimmed(&render_analysis(&analysis, OutputFormat::TableDeterministic)),
+            "trace      13 lines parsed, 0 malformed, 0 unmatched span(s)\n\
+events     counter=1 sched=9 segment=1 span_end=1 span_start=1\n\
+\n\
+phase profile\n\
+name   count  open\n\
+--------------------\n\
+solve  1      0\n\
+\n\
+supervision\n\
+shard  launches  retries  steals  stale_kills  fence_rejects  outcome  timeline\n\
+------------------------------------------------------------------------------------------------------------------------------------\n\
+0      2         1        0       0            0              done     a0 claim, a0 launch, a0 retry, a1 claim, a1 launch, a1 done\n\
+1      1         0        1       0            0              done     a0 claim, a0 steal, a0 done\n\
+\n\
+counters\n\
+name          value\n\
+---------------------\n\
+cells_solved  4\n\
+"
+        );
+        assert_eq!(
+            render_analysis(&analysis, OutputFormat::JsonDeterministic),
+            "{\"parsed_lines\":13,\"malformed\":[],\"events\":{\"counter\":1,\"sched\":9,\
+         \"segment\":1,\"span_end\":1,\"span_start\":1},\"unmatched_spans\":0,\
+         \"phases\":[{\"name\":\"solve\",\"count\":1,\"open\":0}],\"slowest_solves\":[],\
+         \"batches\":0,\"throughput\":[],\"counters\":{\"cells_solved\":4},\"histograms\":[],\
+         \"sched\":{\"ops\":{\"claim\":3,\"launch\":2,\"retry\":1,\"steal\":1,\"stale_kill\":0,\
+         \"fence_reject\":0,\"done\":2,\"exhausted\":0},\"shards\":[{\"shard\":0,\"launches\":2,\
+         \"retries\":1,\"steals\":0,\"stale_kills\":0,\"fence_rejects\":0,\"outcome\":\"done\",\
+         \"timeline\":[{\"attempt\":0,\"op\":\"claim\"},{\"attempt\":0,\"op\":\"launch\"},\
+         {\"attempt\":0,\"op\":\"retry\"},{\"attempt\":1,\"op\":\"claim\"},{\"attempt\":1,\
+         \"op\":\"launch\"},{\"attempt\":1,\"op\":\"done\"}]},{\"shard\":1,\"launches\":1,\
+         \"retries\":0,\"steals\":1,\"stale_kills\":0,\"fence_rejects\":0,\"outcome\":\"done\",\
+         \"timeline\":[{\"attempt\":0,\"op\":\"claim\"},{\"attempt\":0,\"op\":\"steal\"},\
+         {\"attempt\":0,\"op\":\"done\"}]}],\"utilization\":null}}"
+        );
+        assert_eq!(
+            render_analysis(&analysis, OutputFormat::Csv),
+            "section,key,field,value\n\
+trace,,parsed_lines,13\n\
+trace,,malformed,0\n\
+trace,,unmatched_spans,0\n\
+trace,,batches,0\n\
+events,counter,count,1\n\
+events,sched,count,9\n\
+events,segment,count,1\n\
+events,span_end,count,1\n\
+events,span_start,count,1\n\
+phases,solve,count,1\n\
+phases,solve,open,0\n\
+phases,solve,total_micros,1234\n\
+phases,solve,self_micros,1234\n\
+slowest_solves,high/uniform-12#0 dp_power,micros,1234\n\
+slowest_solves,high/uniform-12#0 dp_power,shard,0\n\
+slowest_solves,high/uniform-12#0 dp_power,attempt,1\n\
+shards,0,launches,2\n\
+shards,0,retries,1\n\
+shards,0,steals,0\n\
+shards,0,stale_kills,0\n\
+shards,0,fence_rejects,0\n\
+shards,0,outcome,done\n\
+shards,0,timeline,\"a0 claim, a0 launch, a0 retry(not before 160ms), a1 claim, a1 launch, a1 done\"\n\
+shards,1,launches,1\n\
+shards,1,retries,0\n\
+shards,1,steals,1\n\
+shards,1,stale_kills,0\n\
+shards,1,fence_rejects,0\n\
+shards,1,outcome,done\n\
+shards,1,timeline,\"a0 claim, a0 steal, a0 done\"\n\
+counters,cells_solved,value,4\n\
+"
+        );
+    }
+
+    #[test]
+    fn analysis_det_renderings_are_the_full_ones_without_timing_fields() {
+        let analysis = forensic_analysis();
+        let timing: [&[&str]; 15] = [
+            &["phases", "*", "total_micros"],
+            &["phases", "*", "self_micros"],
+            &["slowest_solves", "*", "label"],
+            &["slowest_solves", "*", "micros"],
+            &["slowest_solves", "*", "shard"],
+            &["slowest_solves", "*", "attempt"],
+            &["histograms", "*", "mean"],
+            &["histograms", "*", "p50"],
+            &["histograms", "*", "p90"],
+            &["histograms", "*", "p99"],
+            &["sched", "shards", "*", "timeline", "*", "not_before_ms"],
+            &["sched", "shards", "*", "timeline", "*", "ts_ms"],
+            &["sched", "utilization", "max_concurrent"],
+            &["sched", "utilization", "avg_concurrent"],
+            &["sched", "utilization", "busy_ms"],
+        ];
+        let full = parse(&render_analysis(&analysis, OutputFormat::Json));
+        let stripped = timing.iter().fold(full, |v, path| without(v, path));
+        let stripped = without(stripped, &["sched", "utilization", "window_ms"]);
+        assert_eq!(
+            stripped,
+            parse(&render_analysis(&analysis, OutputFormat::JsonDeterministic))
+        );
+        // Each section's det header is its full header less the timing
+        // columns; a section of timing columns only is left out.
+        let timing_columns = |title: &str| -> &[&str] {
+            match title {
+                "phase profile" => &["total_micros", "self_micros"],
+                "slowest solves" => &["label", "micros", "shard", "attempt"],
+                "histograms" => &["mean", "p50", "p90", "p99"],
+                "throughput" => &["done", "total", "jobs_per_sec"],
+                _ => &[],
+            }
+        };
+        let table = render_analysis(&analysis, OutputFormat::Table);
+        let expected: Vec<(&str, Vec<&str>)> = headers(&table)
+            .into_iter()
+            .map(|(title, mut columns)| {
+                columns.retain(|c| !timing_columns(title).contains(c));
+                (title, columns)
+            })
+            .filter(|(_, columns)| !columns.is_empty())
+            .collect();
+        let det = render_analysis(&analysis, OutputFormat::TableDeterministic);
+        assert_eq!(expected, headers(&det));
     }
 }

@@ -15,15 +15,16 @@
 //! keeps equal); both paths must keep matching these bytes.
 
 use replica_engine::obs::Obs;
-use replica_engine::{CampaignSpec, Demand, Fleet, Registry, Scenario, Topology};
+use replica_engine::{
+    render, CampaignSpec, Demand, Fleet, OutputFormat, Registry, Scenario, Topology,
+};
 
 /// The deterministic table with per-line trailing alignment spaces
 /// stripped (the golden literals below would be unreadable — and
 /// fragile under editors — with invisible trailing whitespace; the FNV
 /// cell checksum already pins the exact bytes).
 fn trimmed_table(report: &replica_engine::FleetReport) -> String {
-    report
-        .table_deterministic()
+    render(report, OutputFormat::TableDeterministic)
         .lines()
         .map(str::trim_end)
         .collect::<Vec<_>>()

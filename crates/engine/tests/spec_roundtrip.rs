@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use replica_engine::obs::Obs;
 use replica_engine::{
-    extended_families, CampaignSpec, Fleet, OutputFormat, Registry, Scenario, ScenarioSet,
+    extended_families, render, CampaignSpec, Fleet, OutputFormat, Registry, Scenario, ScenarioSet,
 };
 
 /// Deterministically derives an arbitrary valid spec from drawn
@@ -148,6 +148,6 @@ proptest! {
         prop_assert_eq!(a.cell_count, b.cell_count);
         prop_assert_eq!(a.cell_checksum, b.cell_checksum, "FNV checksum must survive the wire");
         prop_assert_eq!(a.digest(), b.digest(), "full digest must be byte-identical");
-        prop_assert_eq!(a.table_deterministic(), b.table_deterministic());
+        prop_assert_eq!(render(&a, OutputFormat::TableDeterministic), render(&b, OutputFormat::TableDeterministic));
     }
 }

@@ -255,6 +255,8 @@ fn die_spec(e: &replica_engine::SpecError) -> ! {
 }
 
 fn run_fleet(args: &Args) {
+    // --format picks the rendering: an unknown label is misuse (exit 2).
+    let format = fleet_cmd::format_from_args(args).unwrap_or_else(|e| die(&e));
     let registry = replica_engine::Registry::with_all();
     // Load/build + validate: a bad spec dies here, before any job runs,
     // with the spec layer's actionable message (did-you-mean included).
@@ -287,7 +289,10 @@ fn run_fleet(args: &Args) {
         None => replica_engine::obs::Obs::noop(),
     };
     let fleet_report = fleet_cmd::run(&campaign, &registry, &obs).unwrap_or_else(|e| die_spec(&e));
-    println!("{}", replica_engine::render(&fleet_report, campaign.output));
+    println!(
+        "{}",
+        replica_engine::render(&fleet_report, format.unwrap_or(campaign.output))
+    );
     let csv_path = PathBuf::from(args.get("out").unwrap_or("results")).join("fleet.csv");
     match std::fs::create_dir_all(csv_path.parent().expect("joined path has a parent"))
         .and_then(|()| std::fs::write(&csv_path, replica_engine::output::csv(&fleet_report)))

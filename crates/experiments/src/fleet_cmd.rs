@@ -19,7 +19,9 @@ use crate::cli::Args;
 use crate::report::{fmt, Table};
 use replica_engine::obs::Obs;
 use replica_engine::spec::CampaignSpec;
-use replica_engine::{Campaign, Fleet, FleetReport, Registry, SolveOptions, SpecError};
+use replica_engine::{
+    Campaign, Fleet, FleetReport, OutputFormat, Registry, SolveOptions, SpecError,
+};
 
 /// Builds the campaign spec an `experiments fleet` invocation
 /// describes, through the engine's shared CLI grammar
@@ -27,14 +29,18 @@ use replica_engine::{Campaign, Fleet, FleetReport, Registry, SolveOptions, SpecE
 /// (`--scenarios`, `--nodes`, `--count`, `--solvers`, `--reference`,
 /// `--seed`, `--batch-jobs`, `--threads`, `--cost-bound`,
 /// `--budgets`). Mixing `--spec` with campaign flags is rejected, like
-/// in `fleetd`. `--format` overrides the spec's `output` preference
-/// either way.
+/// in `fleetd`. `--format` is not a campaign flag: it overrides the
+/// spec's `output` preference when the report is rendered.
 pub fn spec_from_args(args: &Args) -> Result<CampaignSpec, SpecError> {
-    let mut spec = CampaignSpec::from_cli(&|name| args.get(name))?;
-    if let Some(format) = args.get("format") {
-        spec.output = Some(replica_engine::OutputFormat::parse(format)?);
-    }
-    Ok(spec)
+    CampaignSpec::from_cli(&|name| args.get(name))
+}
+
+/// The `--format` override of the spec's `output` preference. An
+/// unknown label is CLI misuse: the error is a usage message.
+pub fn format_from_args(args: &Args) -> Result<Option<OutputFormat>, String> {
+    args.get("format")
+        .map(|name| OutputFormat::parse(name).map_err(|e| format!("--format: {e}")))
+        .transpose()
 }
 
 /// Runs the validated campaign single-process through the engine.
@@ -147,6 +153,12 @@ mod tests {
 
     #[test]
     fn bad_flags_fail_before_any_job() {
+        let err = format_from_args(&parse(&["--format", "yaml"])).unwrap_err();
+        assert!(err.starts_with("--format: unknown format"), "{err}");
+        assert_eq!(
+            format_from_args(&parse(&["--format", "csv"])),
+            Ok(Some(OutputFormat::Csv))
+        );
         let err = spec_from_args(&parse(&["--scenarios", "standrad"])).unwrap_err();
         assert!(err.to_string().contains("did you mean `standard`?"));
         let err = spec_from_args(&parse(&["--nodes", "many"])).unwrap_err();

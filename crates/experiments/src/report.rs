@@ -1,7 +1,8 @@
-//! Tabular output: ASCII for the terminal, CSV for plotting.
+//! Tabular output: ASCII for the terminal, CSV for plotting — both
+//! rendered by the engine's shared report writers
+//! (`replica_engine::output`) under a title line.
 
-use replica_engine::output::csv_field;
-use std::fmt::Write as _;
+use replica_engine::output::{csv_table, text_table, Field};
 use std::io;
 use std::path::Path;
 
@@ -11,17 +12,17 @@ pub struct Table {
     /// Table title (becomes a CSV comment line).
     pub title: String,
     /// Column headers.
-    pub columns: Vec<String>,
+    pub columns: Vec<&'static str>,
     /// Data rows (stringified by the producer).
     pub rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates an empty table.
-    pub fn new<S: Into<String>>(title: S, columns: &[&str]) -> Self {
+    pub fn new<S: Into<String>>(title: S, columns: &[&'static str]) -> Self {
         Table {
             title: title.into(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
+            columns: columns.to_vec(),
             rows: Vec::new(),
         }
     }
@@ -32,45 +33,26 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Renders an aligned ASCII table.
-    pub fn to_ascii(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "## {}", self.title);
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .zip(&widths)
-            .map(|(c, &w)| format!("{c:>w$}"))
-            .collect();
-        let _ = writeln!(out, "{}", header.join("  "));
-        let _ = writeln!(out, "{}", "-".repeat(header.join("  ").len()));
-        for row in &self.rows {
-            let cells: Vec<String> = row
+    /// The rows as report fields, one text field per cell.
+    fn fields(&self) -> Vec<Vec<Field>> {
+        let row = |cells: &Vec<String>| {
+            self.columns
                 .iter()
-                .zip(&widths)
-                .map(|(c, &w)| format!("{c:>w$}"))
-                .collect();
-            let _ = writeln!(out, "{}", cells.join("  "));
-        }
-        out
+                .zip(cells)
+                .map(|(&name, cell)| Field::str(name, cell.as_str()))
+                .collect()
+        };
+        self.rows.iter().map(row).collect()
+    }
+
+    /// Renders an aligned ASCII table under a `##` title line.
+    pub fn to_ascii(&self) -> String {
+        format!("## {}\n{}", self.title, text_table(&self.fields(), true))
     }
 
     /// Renders RFC 4180 CSV with a leading `#` title comment.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# {}", self.title);
-        let _ = writeln!(out, "{}", self.columns.join(","));
-        for row in &self.rows {
-            let fields: Vec<_> = row.iter().map(|c| csv_field(c)).collect();
-            let _ = writeln!(out, "{}", fields.join(","));
-        }
-        out
+        format!("# {}\n{}", self.title, csv_table(&self.fields()))
     }
 
     /// Writes the CSV rendering to `path`, creating parent directories.
@@ -117,9 +99,15 @@ mod tests {
     fn ascii_aligns() {
         let text = sample().to_ascii();
         assert!(text.contains("## demo"));
-        assert!(text.contains(" x  value"));
-        assert!(text.contains(" 1   2.50"));
-        assert!(text.contains("10   0.25"));
+        // The shared report layout: cells left-aligned to their column
+        // and followed by two spaces, a dash rule under the header.
+        assert!(text.contains("x   value"));
+        assert!(text.contains("1   2.50"));
+        assert!(text.contains("10  0.25"));
+        assert_eq!(
+            text,
+            "## demo\nx   value  \n-----------\n1   2.50   \n10  0.25   \n"
+        );
     }
 
     #[test]

@@ -266,13 +266,15 @@ fn campaign_from(args: &Args, registry: &Registry) -> Result<Campaign, FleetdErr
     Ok(spec_from(args)?.validate(registry)?)
 }
 
-/// Resolves the output format: `--format` when given, the campaign
-/// spec's `output` preference otherwise.
-fn format_of(args: &Args, campaign: &Campaign) -> Result<OutputFormat, FleetdError> {
-    match args.get("format") {
-        Some(name) => OutputFormat::parse(name).map_err(FleetdError::Spec),
-        None => Ok(campaign.output),
-    }
+/// The `--format` flag that picks a rendering (`merge` and `run` fall
+/// back to the campaign spec's `output` preference, `status` and
+/// `analyze` to `table`): an unknown label is a usage error (exit 2).
+fn format_flag(args: &Args) -> Result<Option<OutputFormat>, FleetdError> {
+    args.get("format")
+        .map(|name| {
+            OutputFormat::parse(name).map_err(|e| FleetdError::Usage(format!("--format: {e}")))
+        })
+        .transpose()
 }
 
 /// Writes `text` to `--out` when given, else to stdout.
@@ -476,6 +478,7 @@ fn cmd_merge(args: &Args) -> Result<(), FleetdError> {
     let plan_path = args
         .get("plan")
         .ok_or_else(|| FleetdError::Usage("merge needs --plan <plan.json>".into()))?;
+    let format = format_flag(args)?;
     let plan: ShardPlan = read_json(&PathBuf::from(plan_path))?;
     if args.positional.is_empty() {
         return Err(FleetdError::Usage(
@@ -494,13 +497,14 @@ fn cmd_merge(args: &Args) -> Result<(), FleetdError> {
         merged.cell_count,
         merged.cell_checksum
     );
-    let format = format_of(args, &plan.campaign)?;
+    let format = format.unwrap_or(plan.campaign.output);
     emit(args, &render(&merged, format))
 }
 
 fn cmd_run(args: &Args) -> Result<(), FleetdError> {
+    let format = format_flag(args)?;
     let campaign = campaign_from(args, &Registry::with_all())?;
-    let format = format_of(args, &campaign)?;
+    let format = format.unwrap_or(campaign.output);
     let shards = args.parsed("shards", 2usize)?;
     let plan = ShardPlan::new(campaign, shards)?;
     let workers = if args.has("--in-process") {
@@ -547,10 +551,7 @@ fn cmd_status(args: &Args) -> Result<(), FleetdError> {
         FleetdError::Usage("status needs the run's work directory as an argument".into())
     })?;
     let stale_ms = args.parsed("stale-ms", 10_000u64)?;
-    let format = match args.get("format") {
-        Some(name) => OutputFormat::parse(name).map_err(FleetdError::Spec)?,
-        None => OutputFormat::Table,
-    };
+    let format = format_flag(args)?.unwrap_or_default();
     let heartbeats = heartbeat::load_dir(Path::new(dir))?;
     if heartbeats.is_empty() {
         return Err(FleetdError::Protocol(format!(
@@ -560,7 +561,7 @@ fn cmd_status(args: &Args) -> Result<(), FleetdError> {
     }
     print!(
         "{}",
-        heartbeat::render_status_as(&heartbeats, heartbeat::now_unix_ms(), stale_ms, format)
+        heartbeat::render_status(&heartbeats, heartbeat::now_unix_ms(), stale_ms, format)
     );
     Ok(())
 }
@@ -576,6 +577,7 @@ fn cmd_analyze(args: &Args) -> Result<(), FleetdError> {
             "analyze needs a trace file or a run's work directory as an argument".into(),
         )
     })?;
+    let format = format_flag(args)?.unwrap_or_default();
     let path = Path::new(target);
     let text = if path.is_dir() {
         assemble_trace_text(path)?
@@ -593,10 +595,6 @@ fn cmd_analyze(args: &Args) -> Result<(), FleetdError> {
     }
     let top = args.parsed("top", 10usize)?;
     let analysis = Analysis::with_top(&trace, top);
-    let format = match args.get("format") {
-        Some(name) => OutputFormat::parse(name).map_err(FleetdError::Spec)?,
-        None => OutputFormat::Table,
-    };
     emit(args, &render_analysis(&analysis, format))
 }
 
@@ -730,6 +728,11 @@ mod tests {
             "spec stray --scenarios standard".to_string(),
             "status dir other".to_string(),
             "analyze trace.jsonl other".to_string(),
+            // An unknown rendering picked by --format is misuse too.
+            format!("run {cheap} --format yaml"),
+            "merge --plan plan.json shard-0.json --format yaml".to_string(),
+            "status dir --format yaml".to_string(),
+            "analyze trace.jsonl --format yaml".to_string(),
         ] {
             let tokens = line.split_whitespace().map(str::to_string).collect();
             assert_eq!(main(tokens), 2, "{line}");

@@ -754,26 +754,20 @@ pub fn run_single_process(plan: &ShardPlan) -> Result<FleetReport, FleetdError> 
 }
 
 /// Proves a merged report equivalent to a fresh single-process run of
-/// the same plan: byte-identical digest (aggregates + cell count + FNV
-/// cell checksum) and deterministic table. Returns the proof line to
-/// print.
+/// the same plan: byte-identical digest (the `json-det` rendering:
+/// aggregates + cell count + FNV cell checksum). Returns the proof line
+/// to print.
 pub fn prove_against_single_process(
     plan: &ShardPlan,
     merged: &FleetReport,
 ) -> Result<String, FleetdError> {
     let single = run_single_process(plan)?;
-    if merged.digest() != single.digest() {
+    let (merged_digest, single_digest) = (merged.digest(), single.digest());
+    if merged_digest != single_digest {
         return Err(FleetdError::Protocol(format!(
             "determinism violation: merged digest differs from the single-process run\n\
-             merged:\n{}\nsingle:\n{}",
-            merged.digest(),
-            single.digest()
+             merged:\n{merged_digest}\nsingle:\n{single_digest}"
         )));
-    }
-    if merged.table_deterministic() != single.table_deterministic() {
-        return Err(FleetdError::Protocol(
-            "determinism violation: deterministic tables differ".into(),
-        ));
     }
     Ok(format!(
         "determinism proof: merged == single-process ({} cells, checksum {:016x})",

@@ -17,13 +17,15 @@
 //! [`summarize`] classifies each heartbeat as live / stale / done /
 //! failed from its age against a staleness threshold, as a pure
 //! function of `(heartbeats, now, stale_ms)` so the classification is
-//! unit-testable without clocks or files.
+//! unit-testable without clocks or files. [`render_status`] prints the
+//! result through the engine's report writers in any output format;
+//! the wall-clock `age_ms` and the `pid` are its timing fields, so the
+//! `-det` formats leave them out.
 
 use crate::error::FleetdError;
-use replica_engine::output::OutputFormat;
+use replica_engine::output::{csv_table, json_row, text_table, Field, OutputFormat};
 use replica_obs::{Event, Sink};
 use serde::{Deserialize, Serialize, Value};
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -75,13 +77,8 @@ pub fn now_unix_ms() -> u64 {
 }
 
 impl Heartbeat {
-    /// A fresh `Running` heartbeat for shard `shard` of `jobs_total`
-    /// jobs, stamped now.
-    pub fn starting(shard: usize, jobs_total: usize) -> Heartbeat {
-        Heartbeat::starting_attempt(shard, 0, jobs_total)
-    }
-
-    /// [`Heartbeat::starting`] for a specific attempt generation.
+    /// A fresh `Running` heartbeat for attempt `attempt` of shard
+    /// `shard`, `jobs_total` jobs, stamped now.
     pub fn starting_attempt(shard: usize, attempt: usize, jobs_total: usize) -> Heartbeat {
         Heartbeat {
             shard,
@@ -248,131 +245,58 @@ impl StatusSummary {
     }
 }
 
-/// The `fleetd status` rendering: one row per shard, summary line last.
-pub fn render_status(heartbeats: &[Heartbeat], now_ms: u64, stale_ms: u64) -> String {
-    let mut out = String::from("shard  att  state   jobs         cells   age_ms  pid\n");
-    for hb in heartbeats {
-        let _ = writeln!(
-            out,
-            "{:<5}  {:<3}  {:<6}  {:>5}/{:<5}  {:>6}  {:>6}  {}",
-            hb.shard,
-            hb.attempt,
-            hb.status(now_ms, stale_ms).label(),
-            hb.jobs_done,
-            hb.jobs_total,
-            hb.cells_done,
-            hb.age_ms(now_ms),
-            hb.pid,
-        );
-    }
-    let _ = writeln!(out, "{}", summarize(heartbeats, now_ms, stale_ms).line());
-    out
-}
-
-/// [`render_status`] in any [`OutputFormat`]. The deterministic
-/// variants drop the per-row wall-clock age and pid — the columns that
-/// differ between two observations of the same fleet state — so a
-/// `table-det`/`json-det` status can be diffed across reruns.
-pub fn render_status_as(
+/// The `fleetd status` rendering in `format`: one row per shard —
+/// `age_ms` and `pid` are timing, the columns that differ between two
+/// observations of the same fleet state — and the fleet-wide summary,
+/// as the line under a table and the `summary` object of the JSON.
+pub fn render_status(
     heartbeats: &[Heartbeat],
     now_ms: u64,
     stale_ms: u64,
     format: OutputFormat,
 ) -> String {
-    match format {
-        OutputFormat::Table => render_status(heartbeats, now_ms, stale_ms),
-        OutputFormat::TableDeterministic => {
-            let mut out = String::from("shard  att  state   jobs         cells\n");
-            for hb in heartbeats {
-                let _ = writeln!(
-                    out,
-                    "{:<5}  {:<3}  {:<6}  {:>5}/{:<5}  {:>6}",
-                    hb.shard,
-                    hb.attempt,
-                    hb.status(now_ms, stale_ms).label(),
-                    hb.jobs_done,
-                    hb.jobs_total,
-                    hb.cells_done,
-                );
-            }
-            let _ = writeln!(out, "{}", summarize(heartbeats, now_ms, stale_ms).line());
-            out
-        }
-        OutputFormat::Csv => {
-            let mut out =
-                String::from("shard,attempt,state,jobs_done,jobs_total,cells_done,age_ms,pid\n");
-            for hb in heartbeats {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{}",
-                    hb.shard,
-                    hb.attempt,
-                    hb.status(now_ms, stale_ms).label(),
-                    hb.jobs_done,
-                    hb.jobs_total,
-                    hb.cells_done,
-                    hb.age_ms(now_ms),
-                    hb.pid,
-                );
-            }
-            out
-        }
-        OutputFormat::Json | OutputFormat::JsonDeterministic => {
-            let timing = format == OutputFormat::Json;
-            format!("{}\n", status_json(heartbeats, now_ms, stale_ms, timing))
-        }
-    }
-}
-
-/// The JSON status document: one object per shard plus the fleet-wide
-/// summary. `timing` gates the wall-clock fields (`age_ms`, `pid`).
-fn status_json(heartbeats: &[Heartbeat], now_ms: u64, stale_ms: u64, timing: bool) -> String {
-    let int = |n: usize| Value::Int(n as i128);
-    let object = |fields: Vec<(&str, Value)>| {
-        Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
-    let shards: Vec<Value> = heartbeats
+    let rows: Vec<Vec<Field>> = heartbeats
         .iter()
         .map(|hb| {
-            let mut fields = vec![
-                ("shard", int(hb.shard)),
-                ("attempt", int(hb.attempt)),
-                (
-                    "state",
-                    Value::Str(hb.status(now_ms, stale_ms).label().into()),
-                ),
-                ("jobs_done", int(hb.jobs_done)),
-                ("jobs_total", int(hb.jobs_total)),
-                ("cells_done", int(hb.cells_done)),
-            ];
-            if timing {
-                fields.push(("age_ms", Value::Int(hb.age_ms(now_ms) as i128)));
-                fields.push(("pid", Value::Int(hb.pid as i128)));
-            }
-            object(fields)
+            vec![
+                Field::int("shard", hb.shard),
+                Field::int("attempt", hb.attempt),
+                Field::str("state", hb.status(now_ms, stale_ms).label()),
+                Field::int("jobs_done", hb.jobs_done),
+                Field::int("jobs_total", hb.jobs_total),
+                Field::int("cells_done", hb.cells_done),
+                Field::int("age_ms", hb.age_ms(now_ms)).timing(),
+                Field::int("pid", hb.pid).timing(),
+            ]
         })
         .collect();
     let summary = summarize(heartbeats, now_ms, stale_ms);
-    let doc = object(vec![
-        ("shards", Value::Array(shards)),
-        (
-            "summary",
-            object(vec![
-                ("live", int(summary.live)),
-                ("stale", int(summary.stale)),
-                ("done", int(summary.done)),
-                ("failed", int(summary.failed)),
-                ("jobs_done", int(summary.jobs_done)),
-                ("jobs_total", int(summary.jobs_total)),
-            ]),
-        ),
-    ]);
-    serde_json::to_string(&doc).unwrap_or_default()
+    let timing = format.keeps_timing();
+    match format {
+        OutputFormat::Table | OutputFormat::TableDeterministic => {
+            format!("{}{}\n", text_table(&rows, timing), summary.line())
+        }
+        OutputFormat::Csv => csv_table(&rows),
+        OutputFormat::Json | OutputFormat::JsonDeterministic => {
+            let shards = rows.into_iter().map(|row| json_row(row, timing));
+            let summary = vec![
+                Field::int("live", summary.live),
+                Field::int("stale", summary.stale),
+                Field::int("done", summary.done),
+                Field::int("failed", summary.failed),
+                Field::int("jobs_done", summary.jobs_done),
+                Field::int("jobs_total", summary.jobs_total),
+            ];
+            let doc = vec![
+                Field::new("shards", Value::Array(shards.collect()), String::new()),
+                Field::new("summary", json_row(summary, timing), String::new()),
+            ];
+            format!(
+                "{}\n",
+                serde_json::to_string(&json_row(doc, timing)).unwrap_or_default()
+            )
+        }
+    }
 }
 
 /// An [`replica_obs::Sink`] that folds the engine's per-batch
@@ -387,13 +311,9 @@ pub struct HeartbeatSink {
 }
 
 impl HeartbeatSink {
-    /// Creates the sink and writes the initial `Running` heartbeat
-    /// (best-effort: heartbeat I/O failures never fail the shard).
-    pub fn new(path: PathBuf, shard: usize, jobs_total: usize, cells_per_job: usize) -> Self {
-        HeartbeatSink::for_attempt(path, shard, 0, jobs_total, cells_per_job)
-    }
-
-    /// [`HeartbeatSink::new`] for a specific attempt generation.
+    /// Creates the sink for attempt `attempt` of shard `shard` and
+    /// writes the initial `Running` heartbeat (best-effort: heartbeat
+    /// I/O failures never fail the shard).
     pub fn for_attempt(
         path: PathBuf,
         shard: usize,
@@ -533,9 +453,10 @@ mod tests {
             summary.line(),
             "1 live, 1 stale, 1 done, 1 failed — jobs 20/40"
         );
-        let table = render_status(&all, now, 10_000);
+        let table = render_status(&all, now, 10_000, OutputFormat::Table);
         assert!(table.contains("stale"), "{table}");
-        assert!(table.lines().count() == 1 + all.len() + 1, "{table}");
+        // Header, dash rule, one row per shard, summary line.
+        assert!(table.lines().count() == 2 + all.len() + 1, "{table}");
     }
 
     #[test]
@@ -546,29 +467,86 @@ mod tests {
             beat(1, WorkerState::Done, 10, now - 60_000),
         ];
         for format in OutputFormat::ALL {
-            let text = render_status_as(&all, now, 10_000, format);
+            let text = render_status(&all, now, 10_000, format);
             assert!(text.contains("done"), "{format:?}: {text}");
         }
-        let csv = render_status_as(&all, now, 10_000, OutputFormat::Csv);
+        let csv = render_status(&all, now, 10_000, OutputFormat::Csv);
         assert!(
             csv.starts_with("shard,attempt,state,jobs_done,jobs_total,cells_done,age_ms,pid\n"),
             "{csv}"
         );
         assert!(csv.contains("0,0,live,3,10,9,1000,7"), "{csv}");
-        let json = render_status_as(&all, now, 10_000, OutputFormat::Json);
+        let json = render_status(&all, now, 10_000, OutputFormat::Json);
         assert!(json.contains("\"age_ms\":1000"), "{json}");
         assert!(json.contains("\"summary\":"), "{json}");
+        // Exact renderings (trailing alignment spaces dropped from the
+        // table).
+        let table_det = render_status(&all, now, 10_000, OutputFormat::TableDeterministic);
+        let trimmed: String = table_det
+            .lines()
+            .map(|line| line.trim_end().to_string() + "\n")
+            .collect();
+        assert_eq!(
+            trimmed,
+            "shard  attempt  state  jobs_done  jobs_total  cells_done\n\
+             ----------------------------------------------------------\n\
+             0      0        live   3          10          9\n\
+             1      0        done   10         10          30\n\
+             1 live, 0 stale, 1 done, 0 failed — jobs 13/20\n"
+        );
+        assert_eq!(
+            render_status(&all, now, 10_000, OutputFormat::JsonDeterministic),
+            "{\"shards\":[{\"shard\":0,\"attempt\":0,\"state\":\"live\",\"jobs_done\":3,\
+             \"jobs_total\":10,\"cells_done\":9},{\"shard\":1,\"attempt\":0,\"state\":\"done\",\
+             \"jobs_done\":10,\"jobs_total\":10,\"cells_done\":30}],\"summary\":{\"live\":1,\
+             \"stale\":0,\"done\":1,\"failed\":0,\"jobs_done\":13,\"jobs_total\":20}}\n"
+        );
+        assert_eq!(
+            csv,
+            "shard,attempt,state,jobs_done,jobs_total,cells_done,age_ms,pid\n\
+             0,0,live,3,10,9,1000,7\n\
+             1,0,done,10,10,30,60000,7\n"
+        );
+        // The det renderings are the full ones without the timing
+        // fields: `age_ms` and `pid`.
+        let mut full: Value = serde_json::from_str(&json).unwrap();
+        if let Value::Object(fields) = &mut full {
+            for (key, shards) in fields.iter_mut() {
+                if let (true, Value::Array(shards)) = (key == "shards", shards) {
+                    for shard in shards {
+                        if let Value::Object(shard) = shard {
+                            shard.retain(|(k, _)| k != "age_ms" && k != "pid");
+                        }
+                    }
+                }
+            }
+        }
+        let det: Value = serde_json::from_str(&render_status(
+            &all,
+            now,
+            10_000,
+            OutputFormat::JsonDeterministic,
+        ))
+        .unwrap();
+        assert_eq!(full, det);
+        let header = |text: &str| -> Vec<String> {
+            let line = text.lines().next().unwrap_or_default();
+            line.split_whitespace().map(str::to_string).collect()
+        };
+        let mut table_header = header(&render_status(&all, now, 10_000, OutputFormat::Table));
+        table_header.retain(|c| c != "age_ms" && c != "pid");
+        assert_eq!(table_header, header(&table_det));
         // The deterministic variants carry no wall-clock or pid noise.
         for format in [
             OutputFormat::TableDeterministic,
             OutputFormat::JsonDeterministic,
         ] {
-            let det = render_status_as(&all, now, 10_000, format);
+            let det = render_status(&all, now, 10_000, format);
             assert!(!det.contains("age_ms"), "{det}");
             assert!(!det.contains("pid"), "{det}");
             assert_eq!(
                 det,
-                render_status_as(&all, now + 500, 10_000, format),
+                render_status(&all, now + 500, 10_000, format),
                 "same states observed at a different instant must render identically"
             );
         }
@@ -579,7 +557,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleetd-hbsink-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shard-0.hb.json");
-        let sink = HeartbeatSink::new(path.clone(), 0, 8, 2);
+        let sink = HeartbeatSink::for_attempt(path.clone(), 0, 0, 8, 2);
         let initial = Heartbeat::load(&path).unwrap();
         assert_eq!(initial.state, WorkerState::Running);
         assert_eq!((initial.jobs_done, initial.jobs_total), (0, 8));

@@ -21,10 +21,11 @@ use replica_engine::{Fleet, FleetReport, Registry};
 /// Merges shard reports (any order; they are sorted by shard index)
 /// into the campaign's full [`FleetReport`].
 ///
-/// Validates, per report: the campaign fingerprint, the shard range
-/// against the plan, the cell count, the shard-local checksum
-/// (recomputed from the cells) and the row-major cell order. Validates
-/// globally: every planned shard present exactly once.
+/// Validates, per report: the campaign fingerprint, the shard count
+/// and the shard range against the plan, the cell count, the
+/// shard-local checksum (recomputed from the cells) and the row-major
+/// cell order. Validates globally: every planned shard present exactly
+/// once.
 pub fn merge_reports(
     plan: &ShardPlan,
     reports: &[ShardReport],
@@ -56,6 +57,13 @@ fn merge_borrowed(
             return Err(FleetdError::Protocol(format!(
                 "{context}: campaign fingerprint {:016x} does not match the plan's {:016x}",
                 report.fingerprint, plan.fingerprint
+            )));
+        }
+        if report.shard_count != plan.shards.len() {
+            return Err(FleetdError::Protocol(format!(
+                "{context}: written for {} shards, the plan has {}",
+                report.shard_count,
+                plan.shards.len()
             )));
         }
         if (report.shard, report.start, report.end)
@@ -243,6 +251,14 @@ mod tests {
         let mut foreign = good.clone();
         foreign[1].fingerprint ^= 1;
         assert!(merge_reports(&plan, &foreign).is_err());
+
+        // A shard count that is not the plan's.
+        let mut recounted = good.clone();
+        recounted[1].shard_count = 7;
+        let err = merge_reports(&plan, &recounted)
+            .err()
+            .expect("a report written for another plan cannot merge");
+        assert!(err.to_string().contains("written for 7 shards"), "{err}");
 
         // Tampered solved cell: the exact checksum catches a change in
         // any field, also one the digest line would not show.

@@ -382,7 +382,7 @@ mod tests {
 
         // The worker heartbeats at t=1000: Live — the scheduler leaves
         // it alone.
-        let mut hb = Heartbeat::starting(1, 8);
+        let mut hb = Heartbeat::starting_attempt(1, 0, 8);
         hb.updated_unix_ms = 1_000;
         assert_eq!(hb.status(2_000, config.stale_ms), ShardStatus::Live);
 

@@ -245,10 +245,15 @@ fn run(raw: &[String]) -> Result<(), CliError> {
 
     let mut out: BufWriter<Box<dyn Write>> = BufWriter::new(match args.get("out") {
         None => Box::new(std::io::stdout()),
-        Some(path) => Box::new(
-            std::fs::File::create(path)
-                .map_err(|e| CliError::Runtime(format!("--out {path}: {e}")))?,
-        ),
+        Some(path) => {
+            // Like `fleetd` and `experiments`, create the missing parent
+            // directories first.
+            let create = || {
+                std::fs::create_dir_all(Path::new(path).parent().unwrap_or(Path::new("")))?;
+                std::fs::File::create(path)
+            };
+            Box::new(create().map_err(|e| CliError::Runtime(format!("--out {path}: {e}")))?)
+        }
     });
 
     let source_label = match &source {
@@ -420,8 +425,10 @@ impl Session<'_> {
             let totals = *server.totals();
             let (placement, cost, power) = server.current();
             let servers = placement.server_count();
-            let line = render::summary(&totals, cost, power, servers, &stats, self.format);
-            self.emit(&line)?;
+            if let Some(line) = render::summary(&totals, cost, power, servers, &stats, self.format)
+            {
+                self.emit(&line)?;
+            }
             self.obs.counter_add("serve.epochs", totals.epochs);
             self.obs.counter_add("serve.events", totals.events);
             self.obs.counter_add("serve.changed", totals.changed);

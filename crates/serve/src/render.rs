@@ -1,154 +1,100 @@
 //! Five-format rendering of epoch reports and the session summary.
 //!
-//! The format menu is the engine's [`OutputFormat`] so `placed` speaks
-//! the same dialect as `fleetd`: `table` and `json` carry everything
-//! (solver choice, dirty/recompute accounting, latency); the
-//! deterministic variants (`table-det`, `json-det`) carry **only the
-//! semantic outcome** — epoch, event counts, cost, power, servers and
-//! the placement diff. Solver strategy and timing are deliberately
-//! excluded there, because the bit-identity contract makes them the
-//! *only* legitimate difference between an incremental run and an
-//! `--oracle` run on the same stream: the CI smoke job byte-diffs the
-//! two `json-det` outputs to enforce exactly that. `csv` is the full
-//! per-epoch record with timing last, mirroring the fleet CSV layout.
+//! Every line is one row of [`Field`]s ([`epoch_fields`], or the
+//! summary's), rendered by the engine's shared writers, so `placed`
+//! speaks the same dialect as `fleetd`. The timing fields — `dirty`,
+//! `recomputed`, `solver` and `latency_ms` — are exactly what an
+//! `--oracle` run may differ in: the bit-identity contract makes solver
+//! strategy and timing the *only* legitimate difference between an
+//! incremental run and an oracle run on the same stream. The
+//! deterministic variants (`table-det`, `json-det`) drop them and carry
+//! only the semantic outcome — epoch, event counts, cost, power, servers
+//! and the placement diff; the CI smoke job byte-diffs the two
+//! `json-det` outputs to enforce exactly that. `placed` streams its
+//! lines, so a table column is as wide as its name or
+//! [`MIN_WIDTH`] characters, whichever is wider, not as its widest cell.
 
 use crate::server::{EpochReport, Totals};
-use replica_engine::output::OutputFormat;
+use replica_engine::output::{csv_record, json_row, text_line, Field, OutputFormat};
 use replica_obs::Stats;
-use serde::Value;
+use serde::{Serialize, Value};
 
-/// Column header preceding the epoch lines (`Some` for table/csv).
-pub fn header(format: OutputFormat) -> Option<String> {
-    match format {
-        OutputFormat::Table => Some(format!(
-            "{:>6} {:>7} {:>7} {:>7} {:>7} {:<12} {:>14} {:>14} {:>8} {:>5} {:>5} {:>5} {:>10}",
-            "epoch",
-            "events",
-            "changed",
-            "dirty",
-            "recomp",
-            "solver",
-            "cost",
-            "power",
-            "servers",
-            "+",
-            "-",
-            "~",
-            "ms"
-        )),
-        OutputFormat::TableDeterministic => Some(format!(
-            "{:>6} {:>7} {:>7} {:>14} {:>14} {:>8} {:>5} {:>5} {:>5}",
-            "epoch", "events", "changed", "cost", "power", "servers", "+", "-", "~"
-        )),
-        OutputFormat::Csv => Some(
-            "epoch,events,changed,dirty,recomputed,solver,cost,power,servers,\
-             adds,removals,remodes,latency_ms"
-                .to_string(),
+/// The narrowest table column.
+pub const MIN_WIDTH: usize = 8;
+
+/// The 13 fields of one epoch: counts, the solver's accounting, the new
+/// placement's cost, power and size, the diff (an array in JSON, its
+/// length as text) and the decision latency.
+pub fn epoch_fields(report: &EpochReport) -> Vec<Field> {
+    let diff = &report.diff;
+    vec![
+        Field::int("epoch", report.epoch),
+        Field::int("events", report.events),
+        Field::int("changed", report.changed),
+        Field::int("dirty", report.dirty).timing(),
+        Field::int("recomputed", report.recomputed).timing(),
+        Field::str("solver", report.solver.label()).timing(),
+        Field::num("cost", report.cost, 4),
+        Field::num("power", report.power, 4),
+        Field::int("servers", report.servers),
+        Field::new("adds", diff.adds.serialize(), diff.adds.len().to_string()),
+        Field::new(
+            "removals",
+            diff.removals.serialize(),
+            diff.removals.len().to_string(),
         ),
+        Field::new(
+            "remodes",
+            diff.remodes.serialize(),
+            diff.remodes.len().to_string(),
+        ),
+        Field::num("latency_ms", report.latency_ms, 3).timing(),
+    ]
+}
+
+/// One table line of `row`'s kept fields: their names (`header`) or
+/// their texts.
+fn table_line(row: &[Field], timing: bool, header: bool) -> String {
+    text_line(row.iter().filter(|f| f.kept(timing)).map(|f| {
+        let cell = if header { f.name } else { f.text.as_str() };
+        (cell, f.name.len().max(MIN_WIDTH))
+    }))
+}
+
+/// Column header preceding the epoch lines (`Some` for table/csv): the
+/// names of [`epoch_fields`], with a dash rule under a table's.
+pub fn header(format: OutputFormat) -> Option<String> {
+    let fields = epoch_fields(&EpochReport::default());
+    match format {
+        OutputFormat::Table | OutputFormat::TableDeterministic => {
+            let line = table_line(&fields, format.keeps_timing(), true);
+            Some(format!("{line}\n{}", "-".repeat(line.len())))
+        }
+        OutputFormat::Csv => Some(csv_record(fields.iter().map(|f| f.name))),
         OutputFormat::Json | OutputFormat::JsonDeterministic => None,
     }
 }
 
 /// Renders one epoch report as a single line (no trailing newline).
 pub fn epoch_line(report: &EpochReport, format: OutputFormat) -> String {
+    let fields = epoch_fields(report);
     match format {
-        OutputFormat::Table => format!(
-            "{:>6} {:>7} {:>7} {:>7} {:>7} {:<12} {:>14.4} {:>14.4} {:>8} {:>5} {:>5} {:>5} {:>10.3}",
-            report.epoch,
-            report.events,
-            report.changed,
-            report.dirty,
-            report.recomputed,
-            report.solver.label(),
-            report.cost,
-            report.power,
-            report.servers,
-            report.diff.adds.len(),
-            report.diff.removals.len(),
-            report.diff.remodes.len(),
-            report.latency_ms
-        ),
-        OutputFormat::TableDeterministic => format!(
-            "{:>6} {:>7} {:>7} {:>14.4} {:>14.4} {:>8} {:>5} {:>5} {:>5}",
-            report.epoch,
-            report.events,
-            report.changed,
-            report.cost,
-            report.power,
-            report.servers,
-            report.diff.adds.len(),
-            report.diff.removals.len(),
-            report.diff.remodes.len()
-        ),
-        OutputFormat::Csv => format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            report.epoch,
-            report.events,
-            report.changed,
-            report.dirty,
-            report.recomputed,
-            report.solver.label(),
-            report.cost,
-            report.power,
-            report.servers,
-            report.diff.adds.len(),
-            report.diff.removals.len(),
-            report.diff.remodes.len(),
-            report.latency_ms
-        ),
-        OutputFormat::Json => json_line(report, true),
-        OutputFormat::JsonDeterministic => json_line(report, false),
+        OutputFormat::Table | OutputFormat::TableDeterministic => {
+            table_line(&fields, format.keeps_timing(), false)
+        }
+        OutputFormat::Csv => csv_record(fields.iter().map(|f| f.text.as_str())),
+        OutputFormat::Json | OutputFormat::JsonDeterministic => {
+            let row = json_row(fields, format.keeps_timing());
+            serde_json::to_string(&row).expect("epoch reports always serialize")
+        }
     }
 }
 
-fn diff_values(report: &EpochReport) -> [(String, Value); 3] {
-    let adds = report
-        .diff
-        .adds
-        .iter()
-        .map(|&(node, mode)| Value::Array(vec![int(node), int(mode)]))
-        .collect();
-    let removals = report.diff.removals.iter().map(|&n| int(n)).collect();
-    let remodes = report
-        .diff
-        .remodes
-        .iter()
-        .map(|&(node, from, to)| Value::Array(vec![int(node), int(from), int(to)]))
-        .collect();
-    [
-        ("adds".into(), Value::Array(adds)),
-        ("removals".into(), Value::Array(removals)),
-        ("remodes".into(), Value::Array(remodes)),
-    ]
-}
-
-fn json_line(report: &EpochReport, full: bool) -> String {
-    let mut fields: Vec<(String, Value)> = vec![
-        ("epoch".into(), int(report.epoch as usize)),
-        ("events".into(), int(report.events as usize)),
-        ("changed".into(), int(report.changed as usize)),
-    ];
-    if full {
-        fields.push(("dirty".into(), int(report.dirty)));
-        fields.push(("recomputed".into(), int(report.recomputed)));
-        fields.push((
-            "solver".into(),
-            Value::Str(report.solver.label().to_string()),
-        ));
-    }
-    fields.push(("cost".into(), Value::Float(report.cost)));
-    fields.push(("power".into(), Value::Float(report.power)));
-    fields.push(("servers".into(), int(report.servers)));
-    fields.extend(diff_values(report));
-    if full {
-        fields.push(("latency_ms".into(), Value::Float(report.latency_ms)));
-    }
-    serde_json::to_string(&Value::Object(fields)).expect("epoch reports always serialize")
-}
-
-/// Renders the end-of-stream summary. `latency` is the session's
-/// decision-latency distribution (milliseconds); it appears only in the
-/// non-deterministic formats.
+/// Renders the end-of-stream summary: session totals, the final
+/// placement and, as timing, the session's decision-latency
+/// distribution (milliseconds). One line in tables, one object (marked
+/// `"summary":true`) in JSON, and nothing in CSV, whose epoch records
+/// already sum to the totals.
 pub fn summary(
     totals: &Totals,
     final_cost: f64,
@@ -156,89 +102,53 @@ pub fn summary(
     final_servers: usize,
     latency: &Stats,
     format: OutputFormat,
-) -> String {
+) -> Option<String> {
+    let latency: Vec<Field> = [
+        ("mean", latency.mean),
+        ("min", latency.min),
+        ("p50", latency.p50),
+        ("p90", latency.p90),
+        ("p99", latency.p99),
+        ("max", latency.max),
+    ]
+    .into_iter()
+    .map(|(name, ms)| Field::num(name, ms, 3))
+    .collect();
+    let latency_text = spelled(&latency, " ");
+    let fields = vec![
+        Field::int("epochs", totals.epochs),
+        Field::int("events", totals.events),
+        Field::int("changed", totals.changed),
+        Field::int("adds", totals.adds),
+        Field::int("removals", totals.removals),
+        Field::int("remodes", totals.remodes),
+        Field::num("cost", final_cost, 4),
+        Field::num("power", final_power, 4),
+        Field::int("servers", final_servers),
+        Field::new("latency_ms", json_row(latency, true), latency_text).timing(),
+    ];
+    let timing = format.keeps_timing();
     match format {
-        OutputFormat::Table => format!(
-            "— {} epochs, {} events ({} effective): +{} -{} ~{} → {} servers, \
-             cost {:.4}, power {:.4}\n— decision latency ms: \
-             mean {:.3} min {:.3} p50 {:.3} p90 {:.3} p99 {:.3} max {:.3}",
-            totals.epochs,
-            totals.events,
-            totals.changed,
-            totals.adds,
-            totals.removals,
-            totals.remodes,
-            final_servers,
-            final_cost,
-            final_power,
-            latency.mean,
-            latency.min,
-            latency.p50,
-            latency.p90,
-            latency.p99,
-            latency.max
-        ),
-        OutputFormat::TableDeterministic => format!(
-            "— {} epochs, {} events ({} effective): +{} -{} ~{} → {} servers, \
-             cost {:.4}, power {:.4}",
-            totals.epochs,
-            totals.events,
-            totals.changed,
-            totals.adds,
-            totals.removals,
-            totals.remodes,
-            final_servers,
-            final_cost,
-            final_power
-        ),
-        // The trailer keeps the epoch-row schema: the epoch column says
-        // "summary", the per-epoch-only columns stay empty, and counts
-        // are session totals (the epoch count is the row count above).
-        OutputFormat::Csv => format!(
-            "summary,{},{},,,,{},{},{},{},{},{},{}",
-            totals.events,
-            totals.changed,
-            final_cost,
-            final_power,
-            final_servers,
-            totals.adds,
-            totals.removals,
-            totals.remodes,
-            latency.mean
-        ),
+        OutputFormat::Csv => None,
+        OutputFormat::Table | OutputFormat::TableDeterministic => Some(format!(
+            "— {}",
+            spelled(fields.iter().filter(|f| f.kept(timing)), ", ")
+        )),
         OutputFormat::Json | OutputFormat::JsonDeterministic => {
-            let mut fields: Vec<(String, Value)> = vec![
-                ("summary".into(), Value::Bool(true)),
-                ("epochs".into(), int(totals.epochs as usize)),
-                ("events".into(), int(totals.events as usize)),
-                ("changed".into(), int(totals.changed as usize)),
-                ("adds".into(), int(totals.adds as usize)),
-                ("removals".into(), int(totals.removals as usize)),
-                ("remodes".into(), int(totals.remodes as usize)),
-                ("cost".into(), Value::Float(final_cost)),
-                ("power".into(), Value::Float(final_power)),
-                ("servers".into(), int(final_servers)),
-            ];
-            if format == OutputFormat::Json {
-                fields.push((
-                    "latency_ms".into(),
-                    Value::Object(vec![
-                        ("mean".into(), Value::Float(latency.mean)),
-                        ("min".into(), Value::Float(latency.min)),
-                        ("p50".into(), Value::Float(latency.p50)),
-                        ("p90".into(), Value::Float(latency.p90)),
-                        ("p99".into(), Value::Float(latency.p99)),
-                        ("max".into(), Value::Float(latency.max)),
-                    ]),
-                ));
-            }
-            serde_json::to_string(&Value::Object(fields)).expect("summaries always serialize")
+            let mut row = vec![Field::new("summary", Value::Bool(true), String::new())];
+            row.extend(fields);
+            let doc = json_row(row, timing);
+            Some(serde_json::to_string(&doc).expect("summaries always serialize"))
         }
     }
 }
-
-fn int(value: usize) -> Value {
-    Value::Int(value as i128)
+/// The `name text` pairs of `fields`, joined by `separator`.
+fn spelled<'a>(fields: impl IntoIterator<Item = &'a Field>, separator: &str) -> String {
+    let pairs: Vec<String> = fields
+        .into_iter()
+        .map(|f| format!("{} {}", f.name, f.text))
+        .collect();
+    pairs.join(separator)
 }
 
 #[cfg(test)]
@@ -311,6 +221,101 @@ mod tests {
             row.split(',').count(),
             "{header} vs {row}"
         );
+    }
+
+    #[test]
+    fn renderings_are_pinned() {
+        let r = report();
+        assert_eq!(
+            header(OutputFormat::TableDeterministic).unwrap(),
+            "epoch     events    changed   cost      power     servers   adds      removals  \
+             remodes   \n\
+             ------------------------------------------------------------------------------------------"
+        );
+        assert_eq!(
+            epoch_line(&r, OutputFormat::TableDeterministic),
+            "3         8         5         12.5000   60.2500   4         1         1         1         "
+        );
+        assert_eq!(
+            epoch_line(&r, OutputFormat::JsonDeterministic),
+            "{\"epoch\":3,\"events\":8,\"changed\":5,\"cost\":12.5,\"power\":60.25,\
+             \"servers\":4,\"adds\":[[2,1]],\"removals\":[7],\"remodes\":[[5,0,1]]}"
+        );
+        assert_eq!(
+            header(OutputFormat::Csv).unwrap(),
+            "epoch,events,changed,dirty,recomputed,solver,cost,power,servers,adds,removals,\
+             remodes,latency_ms"
+        );
+        assert_eq!(
+            epoch_line(&r, OutputFormat::Csv),
+            "3,8,5,4,9,incremental,12.5000,60.2500,4,1,1,1,0.125"
+        );
+        let totals = Totals {
+            epochs: 4,
+            events: 20,
+            changed: 12,
+            adds: 6,
+            removals: 2,
+            remodes: 1,
+        };
+        let latency = Stats {
+            count: 4,
+            mean: 0.25,
+            min: 0.125,
+            max: 0.5,
+            p50: 0.25,
+            p90: 0.5,
+            p99: 0.5,
+        };
+        let summary_in = |format| summary(&totals, 12.5, 60.25, 4, &latency, format);
+        assert_eq!(
+            summary_in(OutputFormat::TableDeterministic).unwrap(),
+            "— epochs 4, events 20, changed 12, adds 6, removals 2, remodes 1, cost 12.5000, \
+             power 60.2500, servers 4"
+        );
+        assert_eq!(
+            summary_in(OutputFormat::Table).unwrap(),
+            "— epochs 4, events 20, changed 12, adds 6, removals 2, remodes 1, cost 12.5000, \
+             power 60.2500, servers 4, latency_ms mean 0.250 min 0.125 p50 0.250 p90 0.500 \
+             p99 0.500 max 0.500"
+        );
+        assert_eq!(
+            summary_in(OutputFormat::JsonDeterministic).unwrap(),
+            "{\"summary\":true,\"epochs\":4,\"events\":20,\"changed\":12,\"adds\":6,\
+             \"removals\":2,\"remodes\":1,\"cost\":12.5,\"power\":60.25,\"servers\":4}"
+        );
+        assert_eq!(
+            summary_in(OutputFormat::Csv),
+            None,
+            "the epoch records sum to it"
+        );
+
+        // The det renderings are the full ones without the timing
+        // fields: `dirty`, `recomputed`, `solver`, `latency_ms`.
+        let timing = ["dirty", "recomputed", "solver", "latency_ms"];
+        let without_timing = |line: String| {
+            let Value::Object(mut fields) = parse(&line) else {
+                panic!("an object: {line}")
+            };
+            fields.retain(|(k, _)| !timing.contains(&k.as_str()));
+            Value::Object(fields)
+        };
+        assert_eq!(
+            without_timing(epoch_line(&r, OutputFormat::Json)),
+            parse(&epoch_line(&r, OutputFormat::JsonDeterministic))
+        );
+        assert_eq!(
+            without_timing(summary_in(OutputFormat::Json).unwrap()),
+            parse(&summary_in(OutputFormat::JsonDeterministic).unwrap())
+        );
+        let columns = |format| -> Vec<String> {
+            let header = header(format).unwrap();
+            let line = header.lines().next().unwrap_or_default();
+            line.split_whitespace().map(str::to_string).collect()
+        };
+        let mut full = columns(OutputFormat::Table);
+        full.retain(|c| !timing.contains(&c.as_str()));
+        assert_eq!(full, columns(OutputFormat::TableDeterministic));
     }
 
     fn parse(line: &str) -> Value {

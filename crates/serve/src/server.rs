@@ -60,9 +60,10 @@ impl Default for ServeConfig {
 }
 
 /// Which solver answered an epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolverKind {
     /// Exact dirty-closure recompute ([`IncrementalDp::resolve`]).
+    #[default]
     Incremental,
     /// Warm-started capacity-swept greedy
     /// ([`IncrementalDp::greedy_fallback`]).
@@ -123,7 +124,7 @@ impl PlacementDiff {
 }
 
 /// One epoch's outcome.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EpochReport {
     /// Epoch number (0 is the initial solve, before any delta).
     pub epoch: u64,

@@ -34,7 +34,9 @@ fn read(path: &PathBuf) -> String {
 fn generated_runs_are_byte_identical_across_invocations() {
     for preset in ["walk-drift", "quiet-churn", "subtree-mix"] {
         let a = temp(&format!("gen-a-{preset}"));
-        let b = temp(&format!("gen-b-{preset}"));
+        // `--out` creates missing parent directories.
+        let b_dir = temp(&format!("gen-b-{preset}"));
+        let b = b_dir.join("nested").join("b.jsonl");
         for out in [&a, &b] {
             let code = run(&[
                 "--generate",
@@ -57,7 +59,7 @@ fn generated_runs_are_byte_identical_across_invocations() {
         // 1 initial epoch + 6 generated + 1 summary.
         assert_eq!(lines.lines().count(), 8, "{preset}: {lines}");
         std::fs::remove_file(&a).ok();
-        std::fs::remove_file(&b).ok();
+        std::fs::remove_dir_all(&b_dir).ok();
     }
 }
 

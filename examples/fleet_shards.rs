@@ -23,7 +23,7 @@
 //!
 //! (`examples/fleet_sweep.rs` remains the single-process fleet demo.)
 
-use power_replica::engine::{CampaignSpec, Registry, ScenarioSet};
+use power_replica::engine::{render, CampaignSpec, OutputFormat, Registry, ScenarioSet};
 use power_replica::fleetd::coordinator::{prove_against_single_process, run_plan, Workers};
 use power_replica::fleetd::ShardPlan;
 
@@ -62,7 +62,7 @@ fn main() {
     // checksum and replayed through the engine's sequential fold, so the
     // merge is exact.
     let merged = run_plan(&plan, &Workers::InProcess).expect("campaign is valid");
-    println!("\n{}", merged.table());
+    println!("\n{}", render(&merged, OutputFormat::Table));
 
     // The determinism contract, demonstrated rather than assumed.
     let proof = prove_against_single_process(&plan, &merged).expect("sharding is deterministic");

@@ -49,7 +49,7 @@ fn main() {
     // streaming batch at a time — the campaign is never materialized.
     let fleet = Fleet::new(&registry, &campaign).expect("validated campaign");
     let report = fleet.run(&campaign.space(), &Obs::noop());
-    println!("{}", report.table());
+    println!("{}", render(&report, OutputFormat::Table));
 
     // Headline: how far from optimal are the polynomial-time solvers on
     // each demand pattern?
